@@ -13,8 +13,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional, TextIO
 
 import yaml
 
@@ -27,7 +28,7 @@ from .analysis import (
     scaling_experiment,
 )
 from .config import ExperimentConfig, parse_config
-from .engine import SimConfig, run_trial, trace_log_records
+from .engine import LOG_FIELDS, SimConfig, run_trial, trace_log_records
 from .protocol import ConfigError, derive_params
 
 OUT_DIR_ENV = "FAIRGOSSIP_OUT"
@@ -39,7 +40,13 @@ def _load_doc(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}" if mark else ""
+            raise ConfigError(
+                f"config file {path}: not valid YAML{where}") from None
     if doc is None:
         return {}
     if not isinstance(doc, dict):
@@ -51,10 +58,18 @@ def _parse_option(text: str) -> tuple[str, Any]:
     key, sep, raw = text.partition("=")
     if not sep or not key:
         raise ConfigError(f"option {text!r}: expected key=value")
-    return key, yaml.safe_load(raw)
+    try:
+        return key, yaml.safe_load(raw)
+    except yaml.YAMLError:
+        raise ConfigError(f"option {text!r}: value is not YAML") from None
 
 
 def _resolve(args: argparse.Namespace) -> tuple[SimConfig, ExperimentConfig]:
+    """Merge the config file with the flags; `parse_config` coerces and
+    checks every value, so list flags are passed on as split strings."""
+    if args.parallel < 1:
+        raise ConfigError(f"parallel: need at least 1 worker, "
+                          f"got {args.parallel}")
     doc = _load_doc(args.config)
     overrides: dict[str, Any] = {
         "n": args.n, "gamma": args.gamma, "chi": args.chi,
@@ -64,8 +79,7 @@ def _resolve(args: argparse.Namespace) -> tuple[SimConfig, ExperimentConfig]:
         "alpha": args.alpha,
     }
     if getattr(args, "sizes", None):
-        overrides["sizes"] = tuple(
-            int(v) for v in args.sizes.split(","))
+        overrides["sizes"] = args.sizes.split(",")
     if args.beta1 is not None or args.beta2 is not None:
         cal = dict(doc.get("calibration") or {})
         if args.beta1 is not None:
@@ -76,7 +90,7 @@ def _resolve(args: argparse.Namespace) -> tuple[SimConfig, ExperimentConfig]:
     if args.coalition or args.strategy or args.option:
         coal = dict(doc.get("coalition") or {})
         if args.coalition:
-            coal["members"] = [int(u) for u in args.coalition.split(",")]
+            coal["members"] = args.coalition.split(",")
         if args.strategy:
             coal["strategy"] = args.strategy
         if args.option:
@@ -96,13 +110,22 @@ def _out_path(args: argparse.Namespace) -> Optional[str]:
     return args.out
 
 
+@contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The --out file, closed on exit, or stdout."""
+    path = _out_path(args)
+    if path is None:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
 def _emit(args: argparse.Namespace, rows: list[dict],
           summary: Optional[dict]) -> None:
     """jsonl: one key-sorted line per row plus the summary; csv: the flat
     row table only. Identical inputs produce byte-identical output."""
-    path = _out_path(args)
-    fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
-    try:
+    with _output(args) as fh:
         if args.format == "csv":
             if rows:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -113,9 +136,23 @@ def _emit(args: argparse.Namespace, rows: list[dict],
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
             if summary is not None:
                 fh.write(json.dumps(summary, sort_keys=True) + "\n")
-    finally:
-        if path:
-            fh.close()
+
+
+# A `run` row as `json.dumps(dict(zip(LOG_FIELDS, row)), sort_keys=True)`
+# writes it: keys sorted, receiver None as null. Kinds are plain
+# identifiers, so quoting them needs no escapes.
+_RUN_JSONL_ROW = ('{"kind": "%s", "payload_bits": %d, "receiver": %s, '
+                  '"round": %d, "sender": %d}\n')
+
+
+def _log_rows(records: Iterable, summary: dict) -> Iterator[tuple]:
+    """The rows of a `trace_log_records` stream; its summary dict is
+    copied into `summary` once the rows are drained."""
+    for rec in records:
+        if type(rec) is dict:
+            summary.update(rec)
+        else:
+            yield rec
 
 
 def _config_echo(sim: SimConfig, exp: ExperimentConfig) -> dict:
@@ -187,9 +224,20 @@ def _claims_worker(payload) -> ClaimsAuditor:
 def _cmd_run(args: argparse.Namespace) -> int:
     sim, exp = _resolve(args)
     trace = run_trial(sim, calibration=exp.calibration)
-    rows = list(trace_log_records(trace))
-    summary = rows.pop()
-    _emit(args, rows, summary)
+    summary: dict = {}
+    rows = _log_rows(trace_log_records(trace), summary)
+    with _output(args) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(LOG_FIELDS)
+            writer.writerows(rows)
+        else:
+            fh.writelines(
+                _RUN_JSONL_ROW % (kind, bits,
+                                  "null" if receiver is None else receiver,
+                                  rnd, sender)
+                for rnd, kind, sender, receiver, bits in rows)
+            fh.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
 

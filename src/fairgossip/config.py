@@ -41,6 +41,21 @@ class ExperimentConfig:
     calibration: Calibration = DEFAULT_CALIBRATION
 
 
+def _coerce(name: str, value: Any, kind: type) -> Any:
+    """``kind(value)`` for a user-supplied field, or a ConfigError naming
+    it. A float must be finite; an int may not drop a fractional part."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"{name}: expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{name}: need a finite number, got {value!r}")
+    if kind is int and isinstance(value, float) and out != value:
+        raise ConfigError(f"{name}: need an integer, got {value!r}")
+    return out
+
+
 def expand_colors(spec: Any, n: int) -> tuple[int, ...]:
     """Accept an explicit list or the "16x1,16x2" shorthand.
 
@@ -87,23 +102,26 @@ def resolve_faulty(spec: Any, n: int, colors: tuple[int, ...],
     if isinstance(spec, str):
         parts = [p.strip() for p in spec.split(":")]
         if parts[0] == "random" and len(parts) <= 2:
-            spec = {"random": int(parts[1])} if len(parts) == 2 else "random"
+            spec = ({"random": _coerce("faulty", parts[1], int)}
+                    if len(parts) == 2 else "random")
         elif parts[0] == "color" and len(parts) == 3:
-            spec = {"color": int(parts[1]), "count": int(parts[2])}
+            spec = {"color": _coerce("faulty", parts[1], int),
+                    "count": _coerce("faulty", parts[2], int)}
         elif all(p.lstrip("-").isdigit() for p in spec.split(",")):
             return frozenset(int(p) for p in spec.split(","))
         if spec == "random":
             spec = {"random": math.floor(alpha * n)}
     if isinstance(spec, Mapping):
         if set(spec) == {"random"}:
-            k = int(spec["random"])
+            k = _coerce("faulty", spec["random"], int)
             if not 0 <= k <= n:
                 raise ConfigError(f"faulty: random count {k} out of range")
             rng = derive_stream(seed, FAULT_STREAM_TAG)
             return frozenset(
                 int(u) + 1 for u in rng.choice(n, size=k, replace=False))
         if set(spec) == {"color", "count"}:
-            c, k = int(spec["color"]), int(spec["count"])
+            c = _coerce("faulty", spec["color"], int)
+            k = _coerce("faulty", spec["count"], int)
             picked = [u for u in range(1, n + 1) if colors[u - 1] == c][:k]
             if len(picked) < k:
                 raise ConfigError(
@@ -121,15 +139,16 @@ def resolve_coalition(spec: Any) -> Optional[CoalitionConfig]:
     if unknown:
         raise ConfigError(f"coalition: unknown keys {sorted(unknown)}")
     members = spec.get("members")
-    if not members or not all(isinstance(u, int) for u in members):
+    if not members or not isinstance(members, (list, tuple)):
         raise ConfigError("coalition.members: need a list of agent ids")
+    members = tuple(_coerce("coalition.members", u, int) for u in members)
     strategy = spec.get("strategy", "honest")
     if strategy not in STRATEGIES:
         raise ConfigError(f"coalition.strategy: unknown strategy {strategy!r}")
     options = spec.get("options") or {}
     if not isinstance(options, Mapping):
         raise ConfigError("coalition.options: expected a map")
-    return CoalitionConfig(members=tuple(members), strategy=strategy,
+    return CoalitionConfig(members=members, strategy=strategy,
                            options=dict(options))
 
 
@@ -141,8 +160,10 @@ def resolve_calibration(spec: Any) -> Calibration:
     if not isinstance(spec, Mapping) or set(spec) - {"beta1", "beta2"}:
         raise ConfigError(f"calibration: expected beta1/beta2, got {spec!r}")
     return Calibration(
-        beta1=float(spec.get("beta1", DEFAULT_CALIBRATION.beta1)),
-        beta2=float(spec.get("beta2", DEFAULT_CALIBRATION.beta2)))
+        beta1=_coerce("calibration.beta1",
+                      spec.get("beta1", DEFAULT_CALIBRATION.beta1), float),
+        beta2=_coerce("calibration.beta2",
+                      spec.get("beta2", DEFAULT_CALIBRATION.beta2), float))
 
 
 def parse_config(doc: Optional[Mapping] = None,
@@ -166,25 +187,43 @@ def parse_config(doc: Optional[Mapping] = None,
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"n: need a positive integer, got {n!r}")
 
+    def read(key: str, default: Any, kind: type) -> Any:
+        return _coerce(key, merged.get(key, default), kind)
+
+    sizes = merged.get("sizes", (16, 64, 256))
+    if not isinstance(sizes, (list, tuple)):
+        raise ConfigError(f"sizes: expected a list, got {sizes!r}")
     exp = ExperimentConfig(
-        trials=int(merged.get("trials", 1000)),
-        seed=int(merged.get("seed", 0)),
-        sigma_mult=float(merged.get("sigma_mult", 4.0)),
-        max_fail_rate=float(merged.get("max_fail_rate", 0.01)),
-        alpha=float(merged.get("alpha", 0.25)),
-        sizes=tuple(merged.get("sizes", (16, 64, 256))),
+        trials=read("trials", 1000, int),
+        seed=read("seed", 0, int),
+        sigma_mult=read("sigma_mult", 4.0, float),
+        max_fail_rate=read("max_fail_rate", 0.01, float),
+        alpha=read("alpha", 0.25, float),
+        sizes=tuple(_coerce("sizes", v, int) for v in sizes),
         calibration=resolve_calibration(merged.get("calibration")))
     if exp.trials < 1:
         raise ConfigError(f"trials: need at least 1, got {exp.trials}")
+    if exp.seed < 0:
+        raise ConfigError(f"seed: need a non-negative integer, got {exp.seed}")
+    if not 0 <= exp.alpha <= 1:
+        raise ConfigError(f"alpha: need a fraction in [0, 1], got {exp.alpha}")
+    if not 0 <= exp.max_fail_rate <= 1:
+        raise ConfigError(f"max_fail_rate: need a fraction in [0, 1], "
+                          f"got {exp.max_fail_rate}")
+    if exp.sigma_mult <= 0:
+        raise ConfigError(f"sigma_mult: need a positive number, "
+                          f"got {exp.sigma_mult}")
+    if any(size < 1 for size in exp.sizes):
+        raise ConfigError(f"sizes: need positive agent counts, "
+                          f"got {list(exp.sizes)}")
 
     colors = expand_colors(merged.get("colors"), n)
-    num_colors = int(merged.get("num_colors",
-                                max(2, max(colors, default=2))))
+    num_colors = read("num_colors", max(2, max(colors, default=2)), int)
     sim = SimConfig(
         n=n,
-        gamma=float(merged.get("gamma", 4.0)),
+        gamma=read("gamma", 4.0, float),
         colors=colors,
-        chi=float(merged.get("chi", 1.0)),
+        chi=read("chi", 1.0, float),
         num_colors=num_colors,
         faulty=resolve_faulty(merged.get("faulty"), n, colors, exp.seed,
                               exp.alpha),

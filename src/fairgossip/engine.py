@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional
 
 from fairgossip.adversary import (
@@ -609,6 +609,10 @@ def _classify(params, calibration, honest, active, member_set, tally_sizes,
 
 # --- trace serialization --------------------------------------------------
 
+def _flags_dict(flags: GoodExecutionFlags) -> dict[str, bool]:
+    return {f.name: getattr(flags, f.name) for f in fields(flags)}
+
+
 def _cert_to_list(cert: Certificate) -> list:
     return [cert.ticket, [list(v) for v in cert.votes], cert.color,
             cert.owner]
@@ -653,14 +657,7 @@ def trace_to_dict(trace: Trace) -> dict:
         "decisions": {str(u): d for u, d in trace.decisions.items()},
         "winner": trace.winner,
         "outcome": trace.outcome,
-        "flags": {
-            "d2_votes_theta_logn": trace.flags.d2_votes_theta_logn,
-            "d2_k_distinct": trace.flags.d2_k_distinct,
-            "d2_findmin_converged": trace.flags.d2_findmin_converged,
-            "d3_commit_covered": trace.flags.d3_commit_covered,
-            "d3_coherence_agree_or_fail": trace.flags.d3_coherence_agree_or_fail,
-            "d3_untainted_voter": trace.flags.d3_untainted_voter,
-        },
+        "flags": _flags_dict(trace.flags),
         "stats": {
             "messages": trace.stats.messages,
             "bits": trace.stats.bits,
@@ -681,36 +678,30 @@ def trace_json_line(trace: Trace) -> str:
                       separators=(",", ":"))
 
 
-_PHASE_INDEX = {p: i for i, p in enumerate(PHASES)}
+# Field order of the non-summary rows `trace_log_records` yields.
+LOG_FIELDS = ("round", "kind", "sender", "receiver", "payload_bits")
 
 
 def trace_log_records(trace: Trace):
-    """Line-delimited export: one record per message and per agent state
-    transition (entering the failed state, deciding), then one summary
-    record. Round numbers are global (1..4q); the trace must have been
-    run with message recording on for the message records to appear.
+    """Line-delimited export: one row per message and per agent state
+    transition (entering the failed state, deciding), as a tuple in
+    `LOG_FIELDS` order, then one summary dict. Round numbers are global
+    (1..4q); the trace must have been run with message recording on for
+    the message rows to appear. Decision and failure rows have receiver
+    None and payload_bits 0.
     """
     q = trace.params.phase_rounds
-    max_bits = 0
-    for phase, rnd, sender, receiver, kind, bits in (trace.messages or ()):
-        max_bits = max(max_bits, bits)
-        yield {"round": _PHASE_INDEX[phase] * q + rnd, "kind": kind,
-               "sender": sender, "receiver": receiver, "payload_bits": bits}
+    offset = {p: i * q for i, p in enumerate(PHASES)}
+    messages = trace.messages or ()
+    for phase, rnd, sender, receiver, kind, bits in messages:
+        yield (offset[phase] + rnd, kind, sender, receiver, bits)
     for u in sorted(trace.failures):
-        yield {"round": 3 * q + trace.failures[u], "kind": "failed",
-               "sender": u, "receiver": None, "payload_bits": 0}
+        yield (offset[PHASE_COHERENCE] + trace.failures[u], "failed", u,
+               None, 0)
     for u in sorted(trace.decisions):
         kind = "rejected" if trace.decisions[u] is None else "accepted"
-        yield {"round": trace.stats.rounds, "kind": kind, "sender": u,
-               "receiver": None, "payload_bits": 0}
+        yield (trace.stats.rounds, kind, u, None, 0)
     yield {"outcome": trace.outcome, "winner": trace.winner,
-           "rounds": trace.stats.rounds, "max_message_bits": max_bits,
-           "flags": {
-               "d2_votes_theta_logn": trace.flags.d2_votes_theta_logn,
-               "d2_k_distinct": trace.flags.d2_k_distinct,
-               "d2_findmin_converged": trace.flags.d2_findmin_converged,
-               "d3_commit_covered": trace.flags.d3_commit_covered,
-               "d3_coherence_agree_or_fail":
-                   trace.flags.d3_coherence_agree_or_fail,
-               "d3_untainted_voter": trace.flags.d3_untainted_voter,
-           }}
+           "rounds": trace.stats.rounds,
+           "max_message_bits": max((m[5] for m in messages), default=0),
+           "flags": _flags_dict(trace.flags)}

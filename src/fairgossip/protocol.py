@@ -65,10 +65,10 @@ def derive_params(n: int, gamma: float, chi: float = 1.0,
     """Validate the base inputs and fix the derived constants."""
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
-    if not gamma > 0:
-        raise ConfigError(f"gamma must be positive, got {gamma!r}")
-    if chi < 0:
-        raise ConfigError(f"chi must be non-negative, got {chi!r}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigError(f"gamma must be positive and finite, got {gamma!r}")
+    if not (math.isfinite(chi) and chi >= 0):
+        raise ConfigError(f"chi must be non-negative and finite, got {chi!r}")
     if not isinstance(num_colors, int) or num_colors < 1:
         raise ConfigError(f"num_colors must be a positive integer, got {num_colors!r}")
     rounds = max(1, math.ceil(gamma * math.log(n)))
@@ -265,7 +265,6 @@ class VerifyResult(NamedTuple):
 BAD_CHECKSUM = "bad_checksum"
 VOTE_MISMATCH = "vote_mismatch"
 MARKED_VOTER_NONZERO = "marked_voter_nonzero"
-CERT_CONFLICT = "certificate_conflict"
 
 
 def verify_certificate(cert: Certificate, ledger: Ledger,

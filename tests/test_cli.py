@@ -1,12 +1,15 @@
 """End-to-end command-line tests: subcommand wiring, exit codes, output
 formats, reproducibility, and the parallel merge."""
 
+import csv
+import dataclasses
+import io
 import json
 
 import pytest
 
 from fairgossip.cli import main
-from fairgossip.engine import SimConfig, run_trial
+from fairgossip.engine import CoalitionConfig, SimConfig, run_trial
 
 RECORD_FIELDS = {"round", "kind", "sender", "receiver", "payload_bits"}
 SUMMARY_FIELDS = {"outcome", "winner", "rounds", "max_message_bits", "flags"}
@@ -45,6 +48,86 @@ def test_run_reproduces_byte_identical(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def expected_log(trace):
+    """The `run` export rebuilt from the trace itself: message records in
+    send order, then failures and decisions by agent id, then the summary."""
+    q = trace.params.phase_rounds
+    first_round = {"commitment": 0, "voting": q, "find_min": 2 * q,
+                   "coherence": 3 * q}
+    records = [{"round": first_round[phase] + rnd, "kind": kind,
+                "sender": sender, "receiver": receiver, "payload_bits": bits}
+               for phase, rnd, sender, receiver, kind, bits
+               in trace.messages]
+    records += [{"round": 3 * q + rnd, "kind": "failed", "sender": u,
+                 "receiver": None, "payload_bits": 0}
+                for u, rnd in sorted(trace.failures.items())]
+    records += [{"round": 4 * q, "sender": u, "receiver": None,
+                 "kind": "rejected" if d is None else "accepted",
+                 "payload_bits": 0}
+                for u, d in sorted(trace.decisions.items())]
+    summary = {"outcome": trace.outcome, "winner": trace.winner,
+               "rounds": 4 * q,
+               "max_message_bits": max(m[5] for m in trace.messages),
+               "flags": dataclasses.asdict(trace.flags)}
+    return records, summary
+
+
+RUN_CASES = {
+    "plain": (["--n", "8", "--gamma", "2", "--seed", "1"],
+              SimConfig(n=8, gamma=2.0, colors=(1, 2) * 4, master_seed=1)),
+    "faulty": (["--n", "16", "--gamma", "2", "--seed", "7",
+                "--faulty", "3,7"],
+               SimConfig(n=16, gamma=2.0, colors=(1, 2) * 8,
+                         faulty=frozenset({3, 7}), master_seed=7)),
+    # gamma 1 is too few rounds for find-min: coherence failures follow
+    "coalition": (["--n", "16", "--gamma", "1", "--seed", "0",
+                   "--coalition", "1,2", "--strategy", "k_underbid"],
+                  SimConfig(n=16, gamma=1.0, colors=(1, 2) * 8,
+                            coalition=CoalitionConfig(
+                                members=(1, 2), strategy="k_underbid"),
+                            master_seed=0)),
+}
+
+
+def run_output(tmp_path, capsys, argv, dest):
+    if dest == "stdout":
+        assert main(["run", *argv]) == 0
+        return capsys.readouterr().out
+    out = tmp_path / "run.out"
+    assert main(["run", *argv, "--out", str(out)]) == 0
+    return out.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("dest", ["stdout", "out"])
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_run_jsonl_matches_json_dumps(tmp_path, capsys, case, dest):
+    argv, config = RUN_CASES[case]
+    records, summary = expected_log(run_trial(config))
+    expected = "".join(json.dumps(rec, sort_keys=True) + "\n"
+                       for rec in records + [summary])
+    assert run_output(tmp_path, capsys, argv, dest) == expected
+
+
+def test_run_coalition_case_has_failure_rows():
+    _, config = RUN_CASES["coalition"]
+    records, _ = expected_log(run_trial(config))
+    assert any(rec["kind"] == "failed" for rec in records)
+
+
+@pytest.mark.parametrize("dest", ["stdout", "out"])
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_run_csv_table(tmp_path, capsys, case, dest):
+    argv, config = RUN_CASES[case]
+    records, _ = expected_log(run_trial(config))
+    text = run_output(tmp_path, capsys, argv + ["--format", "csv"], dest)
+    header = "round,kind,sender,receiver,payload_bits"
+    assert text.startswith(header + "\r\n")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == header.split(",")
+    assert rows[1:] == [["" if rec[f] is None else str(rec[f])
+                         for f in rows[0]] for rec in records]
 
 
 def test_fairness_pass_and_summary(tmp_path):
@@ -168,6 +251,34 @@ def test_write_failure_reports_path(tmp_path, capsys):
     assert main(["run", "--n", "4", "--gamma", "1",
                  "--out", str(missing)]) == 2
     assert "no-such-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--sizes", "8,x"],
+    ["run", "--n", "8", "--faulty", "random:abc"],
+    ["run", "--n", "8", "--faulty", "color:a:1"],
+    ["run", "--n", "8", "--seed", "-1"],
+    ["run", "--n", "8", "--gamma", "inf"],
+    ["run", "--n", "8", "--chi", "nan"],
+    ["run", "--n", "8", "--faulty", "random", "--alpha", "nan"],
+    ["run", "--n", "8", "--coalition", "1,x"],
+    ["run", "--n", "8", "--coalition", "1", "--option", "a=["],
+    ["fairness", "--n", "8", "--trials", "4", "--parallel", "0"],
+    ["fairness", "--n", "8", "--trials", "4", "--max-fail-rate", "-1"],
+], ids=" ".join)
+def test_bad_input_exits_two_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+
+
+def test_bad_config_file_exits_two_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("n: 8\ngamma: [\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 def test_no_subcommand_is_usage_error():

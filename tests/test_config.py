@@ -146,6 +146,17 @@ def test_calibration_from_document():
     {"n": 8, "bogus_field": 3},
     {"n": 8, "trials": 0},
     {"n": 8, "colors": "4x1"},              # count mismatch
+    {"n": 8, "gamma": "abc"},
+    {"n": 8, "gamma": float("inf")},
+    {"n": 8, "trials": 2.5},                # no silent truncation
+    {"n": 8, "seed": -1},
+    {"n": 8, "alpha": 1.5},
+    {"n": 8, "max_fail_rate": -1},
+    {"n": 8, "sigma_mult": 0},
+    {"n": 8, "sizes": [8, 0]},
+    {"n": 8, "sizes": [8, "x"]},
+    {"n": 8, "coalition": {"members": [1, "x"]}},
+    {"n": 8, "calibration": {"beta1": float("nan")}},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):

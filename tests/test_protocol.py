@@ -43,11 +43,14 @@ def test_derive_params_values():
 
 
 def test_derive_params_rejects_bad_input():
-    for bad in [(0, 1.0), (-3, 1.0), (8, 0.0), (8, -1.0)]:
+    for bad in [(0, 1.0), (-3, 1.0), (8, 0.0), (8, -1.0),
+                (8, float("inf")), (8, float("nan"))]:
         with pytest.raises(ConfigError):
             derive_params(*bad)
     with pytest.raises(ConfigError):
         derive_params(8, 1.0, chi=-0.5)
+    with pytest.raises(ConfigError):
+        derive_params(8, 1.0, chi=float("inf"))
     with pytest.raises(ConfigError):
         derive_params(8, 1.0, num_colors=0)
 
