@@ -101,6 +101,14 @@ def _resolve(args: argparse.Namespace) -> tuple[SimConfig, ExperimentConfig]:
     return parse_config(doc, overrides)
 
 
+def _require_serial(args: argparse.Namespace) -> None:
+    """Reject --parallel above 1 for a subcommand that has no worker
+    split, instead of running it serially without a word."""
+    if args.parallel > 1:
+        raise ConfigError(f"parallel: {args.subcommand} runs in one "
+                          f"process, got {args.parallel} workers")
+
+
 def _out_path(args: argparse.Namespace) -> Optional[str]:
     if args.out is None:
         return None
@@ -222,6 +230,7 @@ def _claims_worker(payload) -> ClaimsAuditor:
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _require_serial(args)
     sim, exp = _resolve(args)
     trace = run_trial(sim, calibration=exp.calibration)
     summary: dict = {}
@@ -265,6 +274,7 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    _require_serial(args)
     sim, exp = _resolve(args)
     if sim.coalition is None:
         raise ConfigError("coalition: required for attack experiments")
@@ -301,6 +311,7 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    _require_serial(args)
     doc = _load_doc(args.config)
     if args.n is None and "n" not in doc:
         args.n = 16             # scaling reads sizes, not n

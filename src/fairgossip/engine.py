@@ -31,6 +31,7 @@ from fairgossip.protocol import (
     certificate_flaw,
     derive_params,
     derive_stream,
+    draw_agents,
     make_certificate,
     min_certificate,
     payoff,
@@ -238,15 +239,15 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
     # Per-agent randomness: one value block then one target block per agent,
     # consumed in phase order. Faulty agents draw too — draws are a function
     # of (seed, id) alone, so the fault set never shifts anyone's stream.
+    all_values, all_targets = draw_agents(seed, params)
+    all_values, all_targets = all_values.tolist(), all_targets.tolist()
     intentions: list = [None] * (n + 1)
     commit_tg: list = [None] * (n + 1)
     findmin_tg: list = [None] * (n + 1)
     coherence_tg: list = [None] * (n + 1)
     for u in range(1, n + 1):
-        gen = derive_stream(seed, u)
-        values = gen.integers(1, m + 1, size=q).tolist()
-        targets = gen.integers(1, n + 1, size=4 * q).tolist()
-        intentions[u] = tuple(zip(values, targets[:q]))
+        targets = all_targets[u]
+        intentions[u] = tuple(zip(all_values[u], targets[:q]))
         commit_tg[u] = targets[q:2 * q]
         findmin_tg[u] = targets[2 * q:3 * q]
         coherence_tg[u] = targets[3 * q:]
@@ -280,6 +281,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
     messages: Optional[list] = [] if record_messages else None
     phase_msgs = {p: 0 for p in PHASES}
     phase_bits = {p: 0 for p in PHASES}
+    rounds_run = 0
 
     # --- commitment: q rounds of pulling vote declarations ---------------
     ledgers: list = [None] * (n + 1)
@@ -294,6 +296,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
     n_msgs = 0
     n_bits = 0
     for rnd in range(1, q + 1):
+        rounds_run += 1
         for u in active:
             if u in member_set:
                 t = strategy.choose_commit_target(views[u], rnd,
@@ -355,6 +358,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
     n_msgs = 0
     n_bits = 0
     for rnd in range(1, q + 1):
+        rounds_run += 1
         for u in active:
             if u in member_set:
                 vote = strategy.choose_vote(views[u], rnd,
@@ -386,6 +390,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
     tickets: dict[int, int] = {}
     tally_sizes: dict[int, int] = {}
     ce_min: list = [None] * (n + 1)
+    ce_bits: list = [0] * (n + 1)     # certificate_bits(ce_min[u], widths)
     for u in active:
         tickets[u] = vote_sum(tallies[u], m)
         tally_sizes[u] = len(tallies[u])
@@ -403,6 +408,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
             view.declared_cert = declared
             cert = declared
         ce_min[u] = cert
+        ce_bits[u] = certificate_bits(cert, widths)
         if u in member_set:
             views[u].ce_min = cert
 
@@ -413,6 +419,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
     n_msgs = 0
     n_bits = 0
     for rnd in range(1, q + 1):
+        rounds_run += 1
         for u in active:
             if u in member_set:
                 t = strategy.choose_findmin_target(views[u], rnd,
@@ -437,12 +444,13 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
                     flaw = certificate_flaw(reply, params)
                     if flaw:
                         raise StrategyError(f"member {t}: {flaw}")
+                    bits = certificate_bits(reply, widths)
             else:
                 reply = ce_min[t]
+                bits = ce_bits[t]
             if reply is None:
                 continue  # no answer: keep the incumbent, no marking here
             if t != u:
-                bits = certificate_bits(reply, widths)
                 n_msgs += 1
                 n_bits += bits
                 if messages is not None:
@@ -451,6 +459,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
             folded = min_certificate(ce_min[u], reply)
             if folded is not ce_min[u]:
                 ce_min[u] = folded
+                ce_bits[u] = bits
                 if u in member_set:
                     views[u].ce_min = folded
     phase_msgs[PHASE_FIND_MIN] = n_msgs
@@ -463,6 +472,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
     n_msgs = 0
     n_bits = 0
     for rnd in range(1, q + 1):
+        rounds_run += 1
         inbox: list = []
         for u in active:
             if u in member_set:
@@ -475,13 +485,14 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
                 flaw = certificate_flaw(cert, params)
                 if flaw:
                     raise StrategyError(f"member {u}: {flaw}")
+                bits = certificate_bits(cert, widths)
             else:
                 if u in failures:
                     continue  # failed agents go quiet
                 cert = ce_min[u]
+                bits = ce_bits[u]
             target = coherence_tg[u][rnd - 1]
             if target != u:
-                bits = certificate_bits(cert, widths)
                 n_msgs += 1
                 n_bits += bits
                 if messages is not None:
@@ -539,7 +550,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
     stats = MessageStats(
         messages=sum(phase_msgs.values()),
         bits=sum(phase_bits.values()),
-        rounds=4 * q,
+        rounds=rounds_run,
         by_phase=by_phase)
 
     return Trace(

@@ -65,6 +65,10 @@ def derive_params(n: int, gamma: float, chi: float = 1.0,
     """Validate the base inputs and fix the derived constants."""
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
+    if n ** 3 + 1 > 2 ** 63:
+        # vote values are drawn from [1, n**3] by an int64 generator
+        raise ConfigError(f"n must be below 2**21 so that the modulus n**3 "
+                          f"can be drawn, got {n}")
     if not (math.isfinite(gamma) and gamma > 0):
         raise ConfigError(f"gamma must be positive and finite, got {gamma!r}")
     if not (math.isfinite(chi) and chi >= 0):
@@ -87,6 +91,125 @@ def derive_stream(master_seed: int, label: int) -> np.random.Generator:
     """
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((master_seed, label))))
+
+
+def draw_agents(master_seed: int,
+                params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's own draws, as its derived stream yields them.
+
+    Row u (1..n) of ``values``, shape (n+1, q), and of ``targets``, shape
+    (n+1, 4q), is what ``gen = derive_stream(master_seed, u)`` returns from
+    ``gen.integers(1, modulus + 1, size=q)`` and then
+    ``gen.integers(1, n + 1, size=4 * q)``; row 0 is unused. The rows are
+    computed for all agents at once from the same PCG64 streams and numpy's
+    bounded-integer map; a row that numpy would draw differently (a word
+    fell in the map's rejection zone) is re-drawn through ``derive_stream``
+    itself, as is every row when n < 2, when ``modulus`` needs more than 32
+    bits, or when the seed is negative (which ``derive_stream`` rejects).
+    """
+    n, q, m = params.n, params.phase_rounds, params.modulus
+    values = np.zeros((n + 1, q), dtype=np.int64)
+    targets = np.zeros((n + 1, 4 * q), dtype=np.int64)
+    if master_seed < 0 or n < 2 or m > _U32:
+        redraw: Iterable[int] = range(1, n + 1)
+    else:
+        words = _agent_stream_words(master_seed, n, 5 * q)
+        # numpy's map for a range r < 2**32: w -> (w * r) >> 32, redrawing
+        # w while the product's low half is below 2**32 mod r (Lemire 2019)
+        v = words[:, :q] * np.uint64(m)
+        t = words[:, q:] * np.uint64(n)
+        values[1:] = (v >> 32) + 1
+        targets[1:] = (t >> 32) + 1
+        rejected = (((v & _U32) < (1 << 32) % m).any(axis=1)
+                    | ((t & _U32) < (1 << 32) % n).any(axis=1))
+        redraw = (np.flatnonzero(rejected) + 1).tolist()
+    for u in redraw:
+        gen = derive_stream(master_seed, u)
+        values[u] = gen.integers(1, m + 1, size=q)
+        targets[u] = gen.integers(1, n + 1, size=4 * q)
+    return values, targets
+
+
+# numpy.random.SeedSequence's hash constants (a pool of four uint32 words)
+# and PCG64's 128-bit LCG multiplier.
+_U32 = 0xFFFFFFFF
+_U128 = (1 << 128) - 1
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_stream(init: int, mult: int):
+    """SeedSequence's hashmix, whose constant advances by ``mult`` on every
+    call: ``hashmix(x, k)`` makes the next k calls, one per row of the
+    (k, ...) result, on x broadcast against a (k, 1) column."""
+    const = init
+
+    def hashmix(x: np.ndarray, k: int) -> np.ndarray:
+        nonlocal const
+        seq = [const]
+        for _ in range(k):
+            seq.append(seq[-1] * mult & _U32)
+        const = seq[-1]
+        x = ((x ^ np.array(seq[:-1], dtype=np.uint32)[:, None])
+             * np.array(seq[1:], dtype=np.uint32)[:, None])
+        return x ^ (x >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_SS_MIX_L) - y * np.uint32(_SS_MIX_R)
+    return r ^ (r >> 16)
+
+
+def _agent_stream_words(master_seed: int, n: int, count: int) -> np.ndarray:
+    """The first ``count`` 32-bit words of each agent's derived stream, as
+    numpy's bounded-integer draws read them (the low half of each 64-bit
+    output, then its high half): a (n, count) uint64 array for agents
+    1..n. Needs a non-negative seed and agent ids below 2**32."""
+    # SeedSequence((master_seed, u)) hashes the seed's uint32 words, low
+    # word first, then u, into the pool, cross-mixes it, and expands it
+    # into four uint64 words; each step runs here on a column per agent.
+    seed_words = []
+    while True:
+        seed_words.append(master_seed & _U32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    entropy = np.zeros((max(len(seed_words) + 1, _SS_POOL), n),
+                       dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = np.arange(1, n + 1, dtype=np.uint32)
+    hashmix = _hash_stream(_SS_INIT_A, _SS_MULT_A)
+    pool = hashmix(entropy[:_SS_POOL], _SS_POOL)
+    for src in range(_SS_POOL):
+        dst = [d for d in range(_SS_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], len(dst)))
+    for word in entropy[_SS_POOL:]:
+        pool = _mix(pool, hashmix(word, _SS_POOL))
+    state = _hash_stream(_SS_INIT_B, _SS_MULT_B)(
+        np.tile(pool, (2, 1)), 2 * _SS_POOL).astype(np.uint64)
+    seed64 = (state[1::2] << 32 | state[0::2]).tolist()
+
+    # PCG64 seeding: inc = 2*initseq + 1, then two LCG steps around adding
+    # initstate; the seeded state goes on one reused bit generator.
+    bitgen = np.random.PCG64(0)
+    inner = {"state": 0, "inc": 0}
+    setting = {"bit_generator": "PCG64", "state": inner,
+               "has_uint32": 0, "uinteger": 0}
+    blocks = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*seed64):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _U128
+        inner["inc"] = inc
+        inner["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
+                          + inc) & _U128
+        bitgen.state = setting
+        blocks.append(bitgen.random_raw((count + 1) // 2))
+    raw = np.stack(blocks)
+    return np.stack((raw & _U32, raw >> 32), axis=-1).reshape(n, -1)[:, :count]
 
 
 def draw_vote_intention(params: Params,

@@ -265,6 +265,10 @@ def test_write_failure_reports_path(tmp_path, capsys):
     ["run", "--n", "8", "--coalition", "1", "--option", "a=["],
     ["fairness", "--n", "8", "--trials", "4", "--parallel", "0"],
     ["fairness", "--n", "8", "--trials", "4", "--max-fail-rate", "-1"],
+    ["attack", "--n", "8", "--trials", "2", "--coalition", "1",
+     "--parallel", "2"],
+    ["scaling", "--sizes", "8", "--trials", "1", "--parallel", "2"],
+    ["run", "--n", "8", "--parallel", "2"],
 ], ids=" ".join)
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2

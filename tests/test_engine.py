@@ -196,6 +196,30 @@ def test_flag_flips_frozen_seeds():
     assert a5trial(0, drawn_faults(0)).flags.d2_good
 
 
+def test_fast_draws_replay_reference_loop(monkeypatch):
+    # every trace byte, faults and a coalition included, is the same when
+    # the engine draws through the per-agent reference loop instead
+    import fairgossip.engine as engine
+    from test_protocol import reference_draws
+
+    def config(seed):
+        n = (5, 17, 40, 100)[seed % 4]
+        colors = tuple((i % 2) + 1 for i in range(n))
+        coalition = None
+        if seed % 3 == 0:
+            coalition = CoalitionConfig(
+                members=(1, 4), strategy=("k_underbid", "fake_faulty",
+                                          "coherence_silence")[seed % 9 // 3])
+        return SimConfig(n=n, gamma=1.5, colors=colors, master_seed=seed,
+                         faulty=frozenset({2, n}) if seed % 2 else frozenset(),
+                         coalition=coalition)
+
+    seeds = range(200)
+    fast = [trace_json_line(run_trial(config(s))) for s in seeds]
+    monkeypatch.setattr(engine, "draw_agents", reference_draws)
+    assert [trace_json_line(run_trial(config(s))) for s in seeds] == fast
+
+
 def test_calibration_band_is_injectable():
     cfg = SimConfig(n=16, gamma=2.0, colors=HALF, master_seed=1)
     assert run_trial(cfg).flags.d2_votes_theta_logn

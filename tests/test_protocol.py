@@ -3,6 +3,7 @@ verification, and the derived random streams."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from fairgossip.protocol import (
     certificate_flaw,
     derive_params,
     derive_stream,
+    draw_agents,
     draw_contact_targets,
     draw_vote_intention,
     make_certificate,
@@ -40,11 +42,13 @@ def test_derive_params_values():
     assert (p64.modulus, p64.phase_rounds) == (262144, 17)
     p1 = derive_params(1, 2.0)
     assert (p1.modulus, p1.phase_rounds) == (1, 1)  # rounds floor at 1
+    # the largest n whose modulus n**3 an int64 draw still reaches
+    assert derive_params(2**21 - 1, 0.1).modulus == (2**21 - 1) ** 3
 
 
 def test_derive_params_rejects_bad_input():
     for bad in [(0, 1.0), (-3, 1.0), (8, 0.0), (8, -1.0),
-                (8, float("inf")), (8, float("nan"))]:
+                (8, float("inf")), (8, float("nan")), (2**21, 0.1)]:
         with pytest.raises(ConfigError):
             derive_params(*bad)
     with pytest.raises(ConfigError):
@@ -76,6 +80,70 @@ def test_draw_vote_intention_frozen_stream():
 
 def test_draw_contact_targets_frozen_stream():
     assert draw_contact_targets(P8, derive_stream(1234, 2)) == [2, 7, 6, 5, 7, 8, 1]
+
+
+def reference_draws(seed, params):
+    """What draw_agents computes, as the loop that defines it: one
+    derived stream per agent, a value block then a target block."""
+    n, q, m = params.n, params.phase_rounds, params.modulus
+    values = np.zeros((n + 1, q), dtype=np.int64)
+    targets = np.zeros((n + 1, 4 * q), dtype=np.int64)
+    for u in range(1, n + 1):
+        gen = derive_stream(seed, u)
+        values[u] = gen.integers(1, m + 1, size=q)
+        targets[u] = gen.integers(1, n + 1, size=4 * q)
+    return values, targets
+
+
+def assert_same_draws(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64, 100, 256, 1626])
+def test_draw_agents_matches_derived_streams(n):
+    # n=1626 is the first n whose modulus needs more than 32 bits
+    params = derive_params(n, 2.0)
+    assert (params.modulus > 2**32 - 1) == (n == 1626)
+    for seed in (0, 1, 1234, 2**32 + 3, 2**64 + 5):
+        assert_same_draws(draw_agents(seed, params),
+                          reference_draws(seed, params))
+
+
+@given(st.integers(0, 2**200), st.integers(2, 40), st.sampled_from([0.5, 3.0]))
+@settings(max_examples=40, deadline=None)
+def test_draw_agents_matches_any_seed(seed, n, gamma):
+    # seeds past 2**96 hash more words than SeedSequence's pool holds
+    params = derive_params(n, gamma)
+    assert_same_draws(draw_agents(seed, params), reference_draws(seed, params))
+
+
+def test_draw_agents_redraws_rejected_rows(monkeypatch):
+    # at n=100 a 32-bit word maps to [1, 10**6] unevenly: numpy redraws it
+    # when the product's low half is below 2**32 mod 10**6, and the row
+    # then comes from the agent's own stream
+    import fairgossip.protocol as protocol
+    redrawn = []
+
+    def counting(seed, label):
+        redrawn.append((seed, label))
+        return derive_stream(seed, label)
+
+    monkeypatch.setattr(protocol, "derive_stream", counting)
+    params = derive_params(100, 4.0)
+    for seed in range(30):
+        assert_same_draws(draw_agents(seed, params),
+                          reference_draws(seed, params))
+    assert redrawn and len(redrawn) < 30 * 100 // 10
+    redrawn.clear()
+    draw_agents(0, derive_params(1626, 0.5))   # modulus past 32 bits
+    assert len(redrawn) == 1626
+
+
+def test_draw_agents_rejects_negative_seed():
+    with pytest.raises(ValueError):
+        draw_agents(-1, P8)
 
 
 def test_intention_target_frequencies_near_uniform():
