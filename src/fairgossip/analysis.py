@@ -18,6 +18,7 @@ from .engine import (
     Calibration,
     SimConfig,
     Trace,
+    run_honest_trials,
     run_trial,
     validate_config,
 )
@@ -141,6 +142,19 @@ class FairnessReport:
                  "z": self.z_score(c)}
                 for c in sorted(self.wins_by_color)]
 
+    def merge(self, other: "FairnessReport") -> None:
+        """Fold in another part's counts (same config and shares required);
+        a part with no trials adds nothing."""
+        if (other.config, other.active_share) != (self.config,
+                                                  self.active_share):
+            raise ConfigError("fairness reports built from mixed configs")
+        self.trials += other.trials
+        self.fail_count += other.fail_count
+        for c, w in other.wins_by_color.items():
+            self.wins_by_color[c] += w
+        for u, w in other.per_agent_wins.items():
+            self.per_agent_wins[u] += w
+
     def to_dict(self) -> dict:
         return {
             "trials": self.trials,
@@ -155,7 +169,9 @@ class FairnessReport:
 def run_fairness_experiment(config: SimConfig, trials: int, seed0: int = 0,
                             *, calibration: Calibration = DEFAULT_CALIBRATION,
                             ) -> FairnessReport:
-    """Run `trials` independent trials at seeds seed0..seed0+trials-1."""
+    """Run `trials` independent trials at seeds seed0..seed0+trials-1.
+    A coalition-free config runs on `run_honest_trials`, which reports
+    what `run_trial` would."""
     validate_config(config)
     active = [u for u in range(1, config.n + 1) if u not in config.faulty]
     share = {c: sum(config.colors[u - 1] == c for u in active) / len(active)
@@ -163,16 +179,21 @@ def run_fairness_experiment(config: SimConfig, trials: int, seed0: int = 0,
     wins = {c: 0 for c in range(1, config.num_colors + 1)}
     agent_wins = {u: 0 for u in active}
     fails = 0
-    for i in range(trials):
-        t = run_trial(replace(config, master_seed=seed0 + i),
-                      record_messages=False, record_votes=False,
-                      calibration=calibration)
-        if t.outcome is None:
+    seeds = range(seed0, seed0 + trials)
+    if config.coalition is None:
+        results = run_honest_trials(config, seeds, calibration)
+    else:
+        traces = (run_trial(replace(config, master_seed=seed),
+                            record_messages=False, record_votes=False,
+                            calibration=calibration) for seed in seeds)
+        results = ((t.outcome, t.winner, t.flags) for t in traces)
+    for outcome, winner, _ in results:
+        if outcome is None:
             fails += 1
         else:
-            wins[t.outcome] += 1
-            if t.winner is not None:
-                agent_wins[t.winner] += 1
+            wins[outcome] += 1
+            if winner is not None:
+                agent_wins[winner] += 1
     return FairnessReport(config=config, trials=trials, fail_count=fails,
                           wins_by_color=wins, per_agent_wins=agent_wins,
                           active_share=share)
@@ -296,7 +317,9 @@ def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
 
     Both arms replay the same seeds; a pair counts only when both arms
     classify good (baseline by the fault-free flags, deviation by the
-    coalition flags). Deviation traces stream into `auditor` when given.
+    coalition flags). The baseline arm runs on `run_honest_trials` for the
+    seeds `cache` does not hold yet. Deviation traces stream into `auditor`
+    when given.
     """
     if config.coalition is None or not config.coalition.members:
         raise ConfigError("equilibrium experiment needs a coalition")
@@ -310,20 +333,18 @@ def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
         elif cache.key != cache_key:
             raise ConfigError("baseline cache built for a different config")
 
+    seeds = range(seed0, seed0 + trials)
+    baseline = cache.entries if cache is not None else {}
+    missing = [seed for seed in seeds if seed not in baseline]
+    for seed, (outcome, _, flags) in zip(
+            missing, run_honest_trials(base_config, missing, calibration)):
+        baseline[seed] = (outcome, flags.d2_good)
+
     base_fail = dev_fail = base_good = dev_good = 0
     base_util: dict[int, list[float]] = {w: [] for w in members}
     diffs: dict[int, list[float]] = {w: [] for w in members}
-    for i in range(trials):
-        seed = seed0 + i
-        entry = cache.entries.get(seed) if cache is not None else None
-        if entry is None:
-            bt = run_trial(replace(base_config, master_seed=seed),
-                           record_messages=False, record_votes=False,
-                           calibration=calibration)
-            entry = (bt.outcome, bt.flags.d2_good)
-            if cache is not None:
-                cache.entries[seed] = entry
-        base_outcome, base_ok = entry
+    for seed in seeds:
+        base_outcome, base_ok = baseline[seed]
         dt = run_trial(replace(config, master_seed=seed),
                        record_messages=False, record_votes=False,
                        calibration=calibration)

@@ -203,20 +203,6 @@ def _fairness_worker(payload) -> FairnessReport:
                                    calibration=calibration)
 
 
-def _merge_fairness(parts: list[FairnessReport]) -> FairnessReport:
-    first = parts[0]
-    merged = FairnessReport(
-        config=first.config,
-        trials=sum(p.trials for p in parts),
-        fail_count=sum(p.fail_count for p in parts),
-        wins_by_color={c: sum(p.wins_by_color[c] for p in parts)
-                       for c in first.wins_by_color},
-        per_agent_wins={u: sum(p.per_agent_wins[u] for p in parts)
-                        for u in first.per_agent_wins},
-        active_share=first.active_share)
-    return merged
-
-
 def _claims_worker(payload) -> ClaimsAuditor:
     config, trials, seed0, calibration, sigma_mult = payload
     auditor = ClaimsAuditor(sigma_mult=sigma_mult)
@@ -256,8 +242,9 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
         payloads = [(sim, count, exp.seed + off, exp.calibration)
                     for off, count in _chunks(exp.trials, args.parallel)]
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            report = _merge_fairness(list(pool.map(_fairness_worker,
-                                                   payloads)))
+            report, *parts = pool.map(_fairness_worker, payloads)
+        for part in parts:
+            report.merge(part)
     else:
         report = run_fairness_experiment(sim, exp.trials, exp.seed,
                                          calibration=exp.calibration)

@@ -20,7 +20,7 @@ from .engine import (
     SimConfig,
     validate_config,
 )
-from .protocol import FAULT_STREAM_TAG, ConfigError, derive_stream
+from .protocol import FAULT_STREAM_TAG, MAX_AGENTS, ConfigError, derive_stream
 
 _SIM_KEYS = {"n", "gamma", "chi", "num_colors", "colors", "faulty",
              "coalition", "seed"}
@@ -186,6 +186,10 @@ def parse_config(doc: Optional[Mapping] = None,
     n = merged["n"]
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"n: need a positive integer, got {n!r}")
+    if n > MAX_AGENTS:
+        # before any n-length colour or fault tuple is built
+        raise ConfigError(f"n: need at most {MAX_AGENTS} so that the "
+                          f"modulus n**3 can be drawn, got {n}")
 
     def read(key: str, default: Any, kind: type) -> Any:
         return _coerce(key, merged.get(key, default), kind)

@@ -39,6 +39,11 @@ FAULT_STREAM_TAG = 0x6661756C74       # "fault"
 STRATEGY_STREAM_TAG = 0x73747261      # "stra"
 
 
+#: Largest agent count: vote values are drawn from [1, n**3] by an int64
+#: generator, so n**3 + 1 may not pass 2**63.
+MAX_AGENTS = 2 ** 21 - 1
+
+
 class ConfigError(ValueError):
     """Raised for structurally invalid protocol or experiment configuration."""
 
@@ -65,8 +70,7 @@ def derive_params(n: int, gamma: float, chi: float = 1.0,
     """Validate the base inputs and fix the derived constants."""
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
-    if n ** 3 + 1 > 2 ** 63:
-        # vote values are drawn from [1, n**3] by an int64 generator
+    if n > MAX_AGENTS:
         raise ConfigError(f"n must be below 2**21 so that the modulus n**3 "
                           f"can be drawn, got {n}")
     if not (math.isfinite(gamma) and gamma > 0):

@@ -121,6 +121,31 @@ def test_single_agent_always_wins_own_color():
     assert winner_uniformity_test(rep).passed
 
 
+def test_fairness_merge_folds_parts_into_the_serial_report():
+    cfg = SimConfig(n=8, gamma=2.0, colors=(1, 1, 1, 1, 2, 2, 2, 2),
+                    faulty=frozenset({3}))
+    merged = run_fairness_experiment(cfg, 13)
+    for seed0, count in ((13, 0), (13, 20), (33, 7)):
+        merged.merge(run_fairness_experiment(cfg, count, seed0))
+    assert merged.to_dict() == run_fairness_experiment(cfg, 40).to_dict()
+
+
+def test_fairness_merge_rejects_mixed_configs():
+    cfg = SimConfig(n=8, gamma=2.0, colors=(1, 1, 1, 1, 2, 2, 2, 2))
+    report = run_fairness_experiment(cfg, 5)
+    before = report.to_dict()
+    for other in (SimConfig(n=8, gamma=3.0, colors=cfg.colors),
+                  SimConfig(n=8, gamma=2.0, colors=cfg.colors,
+                            faulty=frozenset({1}))):
+        with pytest.raises(ConfigError):
+            report.merge(run_fairness_experiment(other, 5))
+    shifted = run_fairness_experiment(cfg, 5)
+    shifted.active_share = {1: 0.25, 2: 0.75}
+    with pytest.raises(ConfigError):
+        report.merge(shifted)
+    assert report.to_dict() == before
+
+
 def _hand_report(wins1, trials=10000):
     cfg = SimConfig(n=8, gamma=4.0, colors=(1, 1, 1, 1, 2, 2, 2, 2))
     return FairnessReport(config=cfg, trials=trials, fail_count=0,

@@ -269,6 +269,7 @@ def test_write_failure_reports_path(tmp_path, capsys):
      "--parallel", "2"],
     ["scaling", "--sizes", "8", "--trials", "1", "--parallel", "2"],
     ["run", "--n", "8", "--parallel", "2"],
+    ["run", "--n", "2097152", "--gamma", "0.1"],
 ], ids=" ".join)
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2

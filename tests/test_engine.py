@@ -12,11 +12,13 @@ from fairgossip.engine import (
     Calibration,
     CoalitionConfig,
     CoalitionRegimeWarning,
+    GoodExecutionFlags,
     SimConfig,
     bit_widths,
     certificate_bits,
     intention_reply_bits,
     pull_request_bits,
+    run_honest_trials,
     run_trial,
     trace_json_line,
     trace_to_dict,
@@ -218,6 +220,93 @@ def test_fast_draws_replay_reference_loop(monkeypatch):
     fast = [trace_json_line(run_trial(config(s))) for s in seeds]
     monkeypatch.setattr(engine, "draw_agents", reference_draws)
     assert [trace_json_line(run_trial(config(s))) for s in seeds] == fast
+
+
+def _honest_cases():
+    """(config, calibration, trials): ticket ties at n <= 5, redrawn
+    draw_agents rows at n=100, three colours, explicit and random:K
+    faults, and gammas low enough that find-min often fails to converge."""
+    from fairgossip.config import resolve_faulty
+
+    def alt(n, k=2):
+        return tuple(i % k + 1 for i in range(n))
+
+    tight = Calibration(beta1=0.5, beta2=3.0)
+    floor = Calibration(beta1=0.0)       # an empty tally sits on the bound
+    default = Calibration()
+    c17, c64 = alt(17, 3), alt(64)
+    return [
+        (SimConfig(n=1, gamma=2.0, colors=(1,), num_colors=1), default, 200),
+        (SimConfig(n=2, gamma=1.0, colors=(1, 2)), floor, 1500),
+        (SimConfig(n=3, gamma=1.0, colors=(1, 2, 3), num_colors=3), tight,
+         1500),
+        (SimConfig(n=5, gamma=0.5, colors=alt(5), faulty=frozenset({2})),
+         default, 1500),
+        (SimConfig(n=17, gamma=0.5, colors=c17, num_colors=3), tight, 2000),
+        (SimConfig(n=17, gamma=1.5, colors=c17, num_colors=3,
+                   faulty=resolve_faulty("random:4", 17, c17, 5, 0.25)),
+         default, 1000),
+        (SimConfig(n=64, gamma=1.0, colors=c64,
+                   faulty=resolve_faulty("random:16", 64, c64, 0, 0.25)),
+         tight, 1200),
+        (SimConfig(n=100, gamma=0.8, colors=alt(100),
+                   faulty=frozenset({1, 50, 100})), default, 1200),
+    ]
+
+
+def test_honest_kernel_matches_run_trial(monkeypatch):
+    import fairgossip.protocol as protocol
+    from dataclasses import fields, replace
+
+    redrawn = []
+    derive = protocol.derive_stream
+
+    def counting_derive(seed, label):
+        redrawn.append(label)
+        return derive(seed, label)
+
+    monkeypatch.setattr(protocol, "derive_stream", counting_derive)
+
+    seen: dict[str, set] = {f.name: set() for f in fields(GoodExecutionFlags)}
+    events = {"abort": 0, "split_undetected": 0, "n100_redraw": 0}
+    total = 0
+    for config, calibration, trials in _honest_cases():
+        redrawn.clear()
+        fast = list(run_honest_trials(config, range(trials), calibration))
+        if config.n == 100:
+            events["n100_redraw"] += len(redrawn)
+        for seed, got in enumerate(fast):
+            t = run_trial(replace(config, master_seed=seed),
+                          record_messages=False, record_votes=False,
+                          calibration=calibration)
+            assert got == (t.outcome, t.winner, t.flags), (config, seed)
+            for f in seen:
+                seen[f].add(getattr(t.flags, f))
+            events["abort"] += bool(t.failures)
+            events["split_undetected"] += (
+                not t.flags.d2_findmin_converged and not t.failures)
+        total += trials
+    assert total >= 10_000
+    # every flag, ticket ties and non-convergence included, went both ways
+    assert all(v == {False, True} for v in seen.values()), seen
+    assert all(events.values()), events
+
+
+def test_honest_kernel_sums_past_int64_in_python_ints(monkeypatch):
+    import fairgossip.engine as engine
+
+    config = SimConfig(n=17, gamma=1.0, colors=tuple([1] * 9 + [2] * 8),
+                       faulty=frozenset({4}))
+    expected = list(run_honest_trials(config, range(300)))
+    monkeypatch.setattr(engine, "_I64_SUM_LIMIT", 0)
+    assert list(run_honest_trials(config, range(300))) == expected
+
+
+def test_honest_kernel_rejects_a_coalition():
+    config = SimConfig(n=4, gamma=1.0, colors=(1, 1, 2, 2),
+                       coalition=CoalitionConfig(members=(1,)))
+    with pytest.raises(ConfigError):
+        run_honest_trials(config, range(3))
 
 
 def test_calibration_band_is_injectable():
