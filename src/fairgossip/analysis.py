@@ -317,9 +317,7 @@ def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
 
     Both arms replay the same seeds; a pair counts only when both arms
     classify good (baseline by the fault-free flags, deviation by the
-    coalition flags). The baseline arm runs on `run_honest_trials` for the
-    seeds `cache` does not hold yet. Deviation traces stream into `auditor`
-    when given.
+    coalition flags). Deviation traces stream into `auditor` when given.
     """
     if config.coalition is None or not config.coalition.members:
         raise ConfigError("equilibrium experiment needs a coalition")
@@ -333,18 +331,20 @@ def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
         elif cache.key != cache_key:
             raise ConfigError("baseline cache built for a different config")
 
-    seeds = range(seed0, seed0 + trials)
-    baseline = cache.entries if cache is not None else {}
-    missing = [seed for seed in seeds if seed not in baseline]
-    for seed, (outcome, _, flags) in zip(
-            missing, run_honest_trials(base_config, missing, calibration)):
-        baseline[seed] = (outcome, flags.d2_good)
-
     base_fail = dev_fail = base_good = dev_good = 0
     base_util: dict[int, list[float]] = {w: [] for w in members}
     diffs: dict[int, list[float]] = {w: [] for w in members}
-    for seed in seeds:
-        base_outcome, base_ok = baseline[seed]
+    for i in range(trials):
+        seed = seed0 + i
+        entry = cache.entries.get(seed) if cache is not None else None
+        if entry is None:
+            bt = run_trial(replace(base_config, master_seed=seed),
+                           record_messages=False, record_votes=False,
+                           calibration=calibration)
+            entry = (bt.outcome, bt.flags.d2_good)
+            if cache is not None:
+                cache.entries[seed] = entry
+        base_outcome, base_ok = entry
         dt = run_trial(replace(config, master_seed=seed),
                        record_messages=False, record_votes=False,
                        calibration=calibration)
