@@ -276,7 +276,11 @@ class CoherenceSilence(DeviationStrategy):
             self.victims = frozenset(
                 u for u in range(1, ctx.params.n + 1) if u not in members)
         else:
-            self.victims = frozenset(int(v) for v in victims)
+            if not (isinstance(victims, (list, tuple))
+                    and all(type(v) is int for v in victims)):
+                raise ConfigError(f"victims: expected a list of agent ids, "
+                                  f"got {victims!r}")
+            self.victims = frozenset(victims)
             if not all(1 <= v <= ctx.params.n for v in self.victims):
                 raise ConfigError("victims outside agent range")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from statistics import fmean, stdev
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .engine import (
     DEFAULT_CALIBRATION,
@@ -25,9 +25,18 @@ from .engine import (
 from .protocol import ConfigError, derive_params, payoff
 
 
-def _coalition_of(trace: Trace) -> frozenset[int]:
-    c = trace.config.coalition
+def _coalition_of(config: SimConfig) -> frozenset[int]:
+    c = config.coalition
     return frozenset(c.members) if c is not None else frozenset()
+
+
+def iter_trials(config: SimConfig, seeds: Iterable[int],
+                calibration: Calibration = DEFAULT_CALIBRATION,
+                record: bool = False) -> Iterator[Trace]:
+    """The trace of `config` at each master seed in `seeds`, in order."""
+    for seed in seeds:
+        yield run_trial(replace(config, master_seed=seed), record=record,
+                        calibration=calibration)
 
 
 # --- legitimate winner ------------------------------------------------------
@@ -59,9 +68,7 @@ class LegitimateWinnerRecord:
         }
 
 
-def legitimate_winner(trace: Trace,
-                      coalition: Optional[frozenset[int]] = None,
-                      ) -> LegitimateWinnerRecord:
+def legitimate_winner(trace: Trace) -> LegitimateWinnerRecord:
     """Reconstruct the legitimate winner from a finished trace.
 
     a = argmin of actual tickets over honest non-members, b = argmin of
@@ -69,10 +76,7 @@ def legitimate_winner(trace: Trace,
     everything else go to b).
     """
     config = trace.config
-    if coalition is None:
-        coalition = _coalition_of(trace)
-    else:
-        coalition = frozenset(coalition)
+    coalition = _coalition_of(config)
     m = trace.params.modulus
     active = [u for u in range(1, config.n + 1) if u not in config.faulty]
 
@@ -183,10 +187,8 @@ def run_fairness_experiment(config: SimConfig, trials: int, seed0: int = 0,
     if config.coalition is None:
         results = run_honest_trials(config, seeds, calibration)
     else:
-        traces = (run_trial(replace(config, master_seed=seed),
-                            record_messages=False, record_votes=False,
-                            calibration=calibration) for seed in seeds)
-        results = ((t.outcome, t.winner, t.flags) for t in traces)
+        results = ((t.outcome, t.winner, t.flags)
+                   for t in iter_trials(config, seeds, calibration))
     for outcome, winner, _ in results:
         if outcome is None:
             fails += 1
@@ -331,23 +333,18 @@ def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
         elif cache.key != cache_key:
             raise ConfigError("baseline cache built for a different config")
 
+    seeds = range(seed0, seed0 + trials)
+    baselines = cache.entries if cache is not None else {}
+    missing = [seed for seed in seeds if seed not in baselines]
+    for seed, bt in zip(missing, iter_trials(base_config, missing,
+                                             calibration)):
+        baselines[seed] = (bt.outcome, bt.flags.d2_good)
+
     base_fail = dev_fail = base_good = dev_good = 0
     base_util: dict[int, list[float]] = {w: [] for w in members}
     diffs: dict[int, list[float]] = {w: [] for w in members}
-    for i in range(trials):
-        seed = seed0 + i
-        entry = cache.entries.get(seed) if cache is not None else None
-        if entry is None:
-            bt = run_trial(replace(base_config, master_seed=seed),
-                           record_messages=False, record_votes=False,
-                           calibration=calibration)
-            entry = (bt.outcome, bt.flags.d2_good)
-            if cache is not None:
-                cache.entries[seed] = entry
-        base_outcome, base_ok = entry
-        dt = run_trial(replace(config, master_seed=seed),
-                       record_messages=False, record_votes=False,
-                       calibration=calibration)
+    for seed, dt in zip(seeds, iter_trials(config, seeds, calibration)):
+        base_outcome, base_ok = baselines[seed]
         if auditor is not None:
             auditor.add(dt)
         dev_ok = dt.flags.d3_good
@@ -429,8 +426,7 @@ class ClaimsAuditor:
     """
 
     sigma_mult: float = 4.0
-    _key: object = None
-    _coalition: frozenset[int] = frozenset()
+    _key: Optional[SimConfig] = None      # the traces' config at seed 0
     _share: dict[int, float] = field(default_factory=dict)
     _coalition_share: float = 0.0
     traces_seen: int = 0
@@ -440,35 +436,30 @@ class ClaimsAuditor:
     winner_in_c: int = 0
     _color_wins: dict[int, int] = field(default_factory=dict)
 
-    def add(self, trace: Trace,
-            coalition: Optional[frozenset[int]] = None) -> None:
-        config = trace.config
-        if coalition is None:
-            coalition = _coalition_of(trace)
-        else:
-            coalition = frozenset(coalition)
-        key = (config.n, config.colors, config.faulty, coalition)
-        if self._key is None:
-            self._key = key
-            self._coalition = coalition
-            active = [u for u in range(1, config.n + 1)
-                      if u not in config.faulty]
-            honest = [u for u in active if u not in coalition]
-            self._share = {
-                c: sum(config.colors[u - 1] == c for u in honest)
-                / len(honest)
-                for c in range(1, config.num_colors + 1)}
-            self._coalition_share = len(coalition) / len(active)
-            self._color_wins = {c: 0 for c in self._share}
-        elif self._key != key:
-            raise ConfigError("claims auditor fed traces from mixed configs")
+    def _bind(self, key: SimConfig) -> None:
+        """Take `key` and its shares on first use; after that, require it."""
+        if self._key is not None:
+            if self._key != key:
+                raise ConfigError("claims audit over mixed configs")
+            return
+        self._key = key
+        coalition = _coalition_of(key)
+        active = [u for u in range(1, key.n + 1) if u not in key.faulty]
+        honest = [u for u in active if u not in coalition]
+        self._share = {
+            c: sum(key.colors[u - 1] == c for u in honest) / len(honest)
+            for c in range(1, key.num_colors + 1)}
+        self._coalition_share = len(coalition) / len(active)
+        self._color_wins = {c: 0 for c in self._share}
 
+    def add(self, trace: Trace) -> None:
+        self._bind(replace(trace.config, master_seed=0))
         self.traces_seen += 1
         good = trace.flags.d2_good and trace.flags.d3_good
         if not good or trace.outcome is None:
             return
         self.eligible += 1
-        rec = legitimate_winner(trace, coalition)
+        rec = legitimate_winner(trace)
         if rec.e_c_prime:
             self.winner_in_c += 1
         if rec.e_c:
@@ -477,26 +468,13 @@ class ClaimsAuditor:
         if rec.winner != rec.legitimate_winner:
             self.claim1_violations += 1
         else:
-            self._color_wins[config.colors[rec.winner - 1]] += 1
+            self._color_wins[trace.config.colors[rec.winner - 1]] += 1
 
     def merge(self, other: "ClaimsAuditor") -> None:
         """Fold another auditor's counters in (same config required)."""
         if other._key is None:
             return
-        if self._key is None:
-            self._key = other._key
-            self._coalition = other._coalition
-            self._share = dict(other._share)
-            self._coalition_share = other._coalition_share
-            self._color_wins = dict(other._color_wins)
-            self.traces_seen = other.traces_seen
-            self.eligible = other.eligible
-            self.claim1_checked = other.claim1_checked
-            self.claim1_violations = other.claim1_violations
-            self.winner_in_c = other.winner_in_c
-            return
-        if self._key != other._key:
-            raise ConfigError("claims auditors built from mixed configs")
+        self._bind(other._key)
         self.traces_seen += other.traces_seen
         self.eligible += other.eligible
         self.claim1_checked += other.claim1_checked
@@ -535,13 +513,16 @@ class ClaimsAuditor:
             claim4_passed=claim4)
 
 
-def claims_audit(traces: Iterable[Trace],
-                 coalition: Optional[frozenset[int]] = None,
-                 sigma_mult: float = 4.0) -> ClaimsAuditReport:
+def run_claims_experiment(config: SimConfig, trials: int, seed0: int = 0,
+                          *, sigma_mult: float = 4.0,
+                          calibration: Calibration = DEFAULT_CALIBRATION,
+                          ) -> ClaimsAuditor:
+    """Audit `trials` traces at seeds seed0..seed0+trials-1."""
     auditor = ClaimsAuditor(sigma_mult=sigma_mult)
-    for trace in traces:
-        auditor.add(trace, coalition)
-    return auditor.report()
+    for trace in iter_trials(config, range(seed0, seed0 + trials),
+                             calibration):
+        auditor.add(trace)
+    return auditor
 
 
 # --- scaling ----------------------------------------------------------------
@@ -567,9 +548,8 @@ def scaling_experiment(n_values: Iterable[int], gamma: float = 4.0,
         max_bits = 0
         rounds = 0
         good = 0
-        for i in range(trials):
-            t = run_trial(replace(config, master_seed=seed0 + i),
-                          record_votes=False, calibration=calibration)
+        for t in iter_trials(config, range(seed0, seed0 + trials),
+                             calibration, record=True):
             rounds = max(rounds, t.stats.rounds)
             if t.messages:
                 max_bits = max(max_bits, max(m[5] for m in t.messages))

@@ -14,15 +14,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import Any, Iterable, Iterator, Optional, TextIO
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 import yaml
 
 from .analysis import (
-    ClaimsAuditor,
-    FairnessReport,
     fairness_test,
+    run_claims_experiment,
     run_equilibrium_experiment,
     run_fairness_experiment,
     scaling_experiment,
@@ -197,20 +196,23 @@ def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def _fairness_worker(payload) -> FairnessReport:
-    config, trials, seed0, calibration = payload
-    return run_fairness_experiment(config, trials, seed0,
-                                   calibration=calibration)
-
-
-def _claims_worker(payload) -> ClaimsAuditor:
-    config, trials, seed0, calibration, sigma_mult = payload
-    auditor = ClaimsAuditor(sigma_mult=sigma_mult)
-    for i in range(trials):
-        auditor.add(run_trial(replace(config, master_seed=seed0 + i),
-                              record_messages=False, record_votes=False,
-                              calibration=calibration))
-    return auditor
+def _fold(experiment: Callable, workers: int, sim: SimConfig,
+          exp: ExperimentConfig, **options: Any):
+    """`experiment(sim, count, seed0, ...)` over the trial chunks, in a
+    pool of `workers` processes when there are several, merged in seed
+    order with the parts' `.merge`."""
+    run = partial(experiment, sim, calibration=exp.calibration, **options)
+    chunks = _chunks(exp.trials, workers)
+    counts = [count for _, count in chunks]
+    seeds = [exp.seed + offset for offset, _ in chunks]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            report, *parts = pool.map(run, counts, seeds)
+    else:
+        report, *parts = map(run, counts, seeds)
+    for part in parts:
+        report.merge(part)
+    return report
 
 
 # --- subcommands ------------------------------------------------------------
@@ -238,16 +240,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_fairness(args: argparse.Namespace) -> int:
     sim, exp = _resolve(args)
-    if args.parallel > 1:
-        payloads = [(sim, count, exp.seed + off, exp.calibration)
-                    for off, count in _chunks(exp.trials, args.parallel)]
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            report, *parts = pool.map(_fairness_worker, payloads)
-        for part in parts:
-            report.merge(part)
-    else:
-        report = run_fairness_experiment(sim, exp.trials, exp.seed,
-                                         calibration=exp.calibration)
+    report = _fold(run_fairness_experiment, args.parallel, sim, exp)
     verdict = fairness_test(report, exp.sigma_mult, exp.max_fail_rate)
     summary = {"record": "summary", "config": _config_echo(sim, exp),
                "trials": report.trials, "fail_count": report.fail_count,
@@ -277,19 +270,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_claims(args: argparse.Namespace) -> int:
     sim, exp = _resolve(args)
-    if args.parallel > 1:
-        payloads = [(sim, count, exp.seed + off, exp.calibration,
-                     exp.sigma_mult)
-                    for off, count in _chunks(exp.trials, args.parallel)]
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            parts = list(pool.map(_claims_worker, payloads))
-        auditor = parts[0]
-        for part in parts[1:]:
-            auditor.merge(part)
-    else:
-        auditor = _claims_worker((sim, exp.trials, exp.seed,
-                                  exp.calibration, exp.sigma_mult))
-    report = auditor.report()
+    report = _fold(run_claims_experiment, args.parallel, sim, exp,
+                   sigma_mult=exp.sigma_mult).report()
     doc = report.to_dict()
     rows = [{"record": "color", **r} for r in doc.pop("claim3")]
     summary = {"record": "summary", "config": _config_echo(sim, exp), **doc}
@@ -305,6 +287,9 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     if args.trials is None and "trials" not in doc:
         args.trials = 5
     sim, exp = _resolve(args)
+    if sim.coalition is not None or sim.faulty:
+        raise ConfigError("scaling runs fault-free, coalition-free "
+                          "configs; got a coalition or faulty agents")
     table = scaling_experiment(exp.sizes, sim.gamma, exp.trials, exp.seed,
                                calibration=exp.calibration)
     passed = all(row.rounds == 4 * row.q for row in table)

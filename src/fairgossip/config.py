@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from .adversary import STRATEGIES
+from .adversary import STRATEGIES, AdversaryContext, make_strategy
 from .engine import (
     DEFAULT_CALIBRATION,
     Calibration,
@@ -20,7 +20,13 @@ from .engine import (
     SimConfig,
     validate_config,
 )
-from .protocol import FAULT_STREAM_TAG, MAX_AGENTS, ConfigError, derive_stream
+from .protocol import (
+    FAULT_STREAM_TAG,
+    MAX_AGENTS,
+    STRATEGY_STREAM_TAG,
+    ConfigError,
+    derive_stream,
+)
 
 _SIM_KEYS = {"n", "gamma", "chi", "num_colors", "colors", "faulty",
              "coalition", "seed"}
@@ -122,7 +128,7 @@ def resolve_faulty(spec: Any, n: int, colors: tuple[int, ...],
         if set(spec) == {"color", "count"}:
             c = _coerce("faulty", spec["color"], int)
             k = _coerce("faulty", spec["count"], int)
-            picked = [u for u in range(1, n + 1) if colors[u - 1] == c][:k]
+            picked = [u for u, color in enumerate(colors, 1) if color == c][:k]
             if len(picked) < k:
                 raise ConfigError(
                     f"faulty: only {len(picked)} supporters of color {c}")
@@ -233,5 +239,11 @@ def parse_config(doc: Optional[Mapping] = None,
                               exp.alpha),
         coalition=resolve_coalition(merged.get("coalition")),
         master_seed=exp.seed)
-    validate_config(sim)
+    params = validate_config(sim)
+    if sim.coalition is not None:
+        # a strategy checks its options when built: fail before any trial
+        make_strategy(sim.coalition.strategy, AdversaryContext(
+            params=params, members=sim.coalition.members,
+            options=dict(sim.coalition.options),
+            rng=derive_stream(exp.seed, STRATEGY_STREAM_TAG)))
     return sim, exp

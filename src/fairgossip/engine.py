@@ -216,9 +216,10 @@ def validate_config(config: SimConfig) -> Params:
     return params
 
 
-def run_trial(config: SimConfig, *, record_messages: bool = True,
-              record_votes: bool = True,
+def run_trial(config: SimConfig, *, record: bool = True,
               calibration: Calibration = DEFAULT_CALIBRATION) -> Trace:
+    """One trial at ``config.master_seed``; ``record=False`` leaves the
+    trace's message and vote logs None."""
     params = validate_config(config)
     n, q, m = params.n, params.phase_rounds, params.modulus
     seed = config.master_seed
@@ -280,7 +281,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
     b_pull = pull_request_bits(widths)
     b_reply = intention_reply_bits(params, widths)
     b_vote = vote_push_bits(widths)
-    messages: Optional[list] = [] if record_messages else None
+    messages: Optional[list] = [] if record else None
     phase_msgs = {p: 0 for p in PHASES}
     phase_bits = {p: 0 for p in PHASES}
     rounds_run = 0
@@ -355,7 +356,7 @@ def run_trial(config: SimConfig, *, record_messages: bool = True,
         tallies[u] = []
     for b in members:
         views[b].tally = tallies[b]
-    votes_log: Optional[list] = [] if record_votes else None
+    votes_log: Optional[list] = [] if record else None
 
     n_msgs = 0
     n_bits = 0

@@ -216,25 +216,6 @@ def _agent_stream_words(master_seed: int, n: int, count: int) -> np.ndarray:
     return np.stack((raw & _U32, raw >> 32), axis=-1).reshape(n, -1)[:, :count]
 
 
-def draw_vote_intention(params: Params,
-                        rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
-    """Draw the q (value, target) vote pairs one agent intends to cast.
-
-    Values are uniform over [1, modulus] (residue 0 keeps its meaning as the
-    no-reply mark; the representative ``modulus`` stands for residue zero),
-    targets uniform over [1, n], self included.
-    """
-    q = params.phase_rounds
-    values = rng.integers(1, params.modulus + 1, size=q).tolist()
-    targets = rng.integers(1, params.n + 1, size=q).tolist()
-    return tuple(zip(values, targets))
-
-
-def draw_contact_targets(params: Params, rng: np.random.Generator) -> list[int]:
-    """Draw one uniform contact target per round for a networked phase."""
-    return rng.integers(1, params.n + 1, size=params.phase_rounds).tolist()
-
-
 def valid_intention(decl: object, params: Params) -> bool:
     """Shape check for a declared vote list: q in-range (value, target) pairs."""
     if not isinstance(decl, (tuple, list)) or len(decl) != params.phase_rounds:
@@ -266,28 +247,9 @@ class Ledger:
     def __init__(self) -> None:
         self.declarations: dict[int, Optional[tuple]] = {}
 
-    def knows(self, voter: AgentId) -> bool:
-        return voter in self.declarations
-
-    def is_marked(self, voter: AgentId) -> bool:
-        return self.declarations.get(voter, _UNSEEN) is None
-
     @property
     def faulty_marks(self) -> frozenset[AgentId]:
         return frozenset(v for v, d in self.declarations.items() if d is None)
-
-    def entry(self, voter: AgentId, round_index: int) -> Optional[tuple[int, int]]:
-        """Declared (value, target) of ``voter`` for the given round, if known.
-
-        Returns (0, None)-style mark semantics as (0, 0) for marked voters
-        and None when the voter was never pulled.
-        """
-        decl = self.declarations.get(voter, _UNSEEN)
-        if decl is _UNSEEN:
-            return None
-        if decl is None:
-            return (NO_REPLY_MARK, 0)
-        return decl[round_index - 1]
 
 
 _UNSEEN = object()
@@ -325,10 +287,6 @@ class Certificate:
     votes: tuple[tuple[int, int, int], ...]
     color: Color
     owner: AgentId
-
-    def canonical(self) -> tuple:
-        """Stable positional form used for serialization and hashing."""
-        return (self.ticket, self.votes, self.color, self.owner)
 
 
 def _vote_order(entry: Sequence[int]) -> tuple[int, int]:

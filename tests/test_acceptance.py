@@ -76,7 +76,7 @@ def test_a3_round_and_message_bounds():
         worst = 0
         for s in range(5):
             t = run_trial(SimConfig(n=n, gamma=4.0, colors=colors,
-                                    master_seed=s), record_votes=False)
+                                    master_seed=s))
             rounds_ok = rounds_ok and t.stats.rounds == 4 * q
             worst = max(worst, max(m[5] for m in t.messages))
         measured[n] = worst
@@ -104,8 +104,7 @@ def test_a5_good_execution_rate():
         faults = frozenset(int(u) + 1
                            for u in rng.choice(64, size=16, replace=False))
         t = run_trial(SimConfig(n=64, gamma=4.0, colors=HALF64,
-                                faulty=faults, master_seed=s),
-                      record_messages=False, record_votes=False)
+                                faulty=faults, master_seed=s), record=False)
         good += t.flags.d2_good and t.flags.d3_good
     gate("A5 good-execution rate", good >= 990,
          f"{good}/1000 trials with all six flags (need >= 990)")
@@ -161,8 +160,7 @@ def test_a8_coalition_win_bound():
                                               strategy="honest"))
     auditor = ClaimsAuditor()
     for s in range(10000):
-        auditor.add(run_trial(replace(cfg, master_seed=s),
-                              record_messages=False, record_votes=False))
+        auditor.add(run_trial(replace(cfg, master_seed=s), record=False))
     rep = auditor.report()
     ok = bool(rep.claim4_passed) and rep.claim1_violations == 0
     gate("A8 coalition win-probability bound", ok,

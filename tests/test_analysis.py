@@ -2,6 +2,7 @@
 against brute force, fairness statistics with frozen counts, coupled
 equilibrium comparisons, claims audits, and the scaling table."""
 
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ from fairgossip.analysis import (
     MemberStat,
     fairness_test,
     legitimate_winner,
+    run_claims_experiment,
     run_equilibrium_experiment,
     run_fairness_experiment,
     scaling_experiment,
@@ -46,7 +48,7 @@ def test_honest_trace_winner_is_legitimate():
 def test_empty_coalition_events_false():
     t = run_trial(SimConfig(n=4, gamma=1.0, colors=(1, 2, 1, 2),
                             master_seed=7))
-    rec = legitimate_winner(t, coalition=frozenset())
+    rec = legitimate_winner(t)
     assert rec.e_c is False and rec.e_c_prime is False
 
 
@@ -265,7 +267,7 @@ def audit32(trials, members=(1, 17), strategy="honest"):
     for s in range(trials):
         aud.add(run_trial(SimConfig(n=32, gamma=3.0, colors=HALF32,
                                     coalition=coalition, master_seed=s),
-                          record_messages=False, record_votes=False))
+                          record=False))
     return aud
 
 
@@ -287,8 +289,7 @@ def test_claims_audit_honest_coalition():
 def test_claims_audit_under_attack_conditions_out_aborts():
     aud = ClaimsAuditor()
     for s in range(25):
-        aud.add(run_trial(underbid_config(s),
-                          record_messages=False, record_votes=False))
+        aud.add(run_trial(underbid_config(s), record=False))
     rep = aud.report()
     assert rep.traces == 25
     assert rep.eligible == 0        # every fabricated win aborted
@@ -302,6 +303,35 @@ def test_auditor_rejects_mixed_configs():
     aud.add(run_trial(underbid_config(0)))
     with pytest.raises(ConfigError):
         aud.add(run_trial(SimConfig(n=4, gamma=1.0, colors=(1, 2, 1, 2))))
+    # the same population, differing in gamma alone
+    aud = ClaimsAuditor()
+    aud.add(run_trial(SimConfig(n=16, gamma=2.0, colors=HALF16)))
+    with pytest.raises(ConfigError):
+        aud.add(run_trial(SimConfig(n=16, gamma=4.0, colors=HALF16)))
+    # the same coalition, differing in strategy alone
+    aud = ClaimsAuditor()
+    aud.add(run_trial(underbid_config(0)))
+    with pytest.raises(ConfigError):
+        aud.add(run_trial(dataclasses.replace(
+            underbid_config(1), coalition=CoalitionConfig(
+                members=(5,), strategy="honest"))))
+    # the seed is not part of the config an audit is over
+    aud.add(run_trial(underbid_config(1)))
+    assert aud.traces_seen == 2
+
+
+def test_claims_merge_folds_parts_into_the_serial_audit():
+    cfg = SimConfig(n=16, gamma=2.0, colors=HALF16,
+                    coalition=CoalitionConfig(members=(5,)))
+    merged = ClaimsAuditor()
+    merged.merge(ClaimsAuditor())               # empty parts add nothing
+    for seed0, count in ((0, 13), (13, 27)):
+        merged.merge(run_claims_experiment(cfg, count, seed0))
+    assert merged == run_claims_experiment(cfg, 40)
+    assert merged.claim1_checked > 0
+    honest = SimConfig(n=16, gamma=2.0, colors=HALF16)
+    with pytest.raises(ConfigError):
+        merged.merge(run_claims_experiment(honest, 3))
 
 
 # --- scaling ----------------------------------------------------------------

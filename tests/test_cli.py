@@ -1,13 +1,18 @@
 """End-to-end command-line tests: subcommand wiring, exit codes, output
 formats, reproducibility, and the parallel merge."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fairgossip.adversary import STRATEGIES
 from fairgossip.cli import main
 from fairgossip.engine import CoalitionConfig, SimConfig, run_trial
 
@@ -159,10 +164,13 @@ def test_fairness_csv_table(tmp_path):
     assert len(rows) == 2                   # flat table only, no summary
 
 
-def test_fairness_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["fairness", "--n", "8", "--colors", "4x1,4x2", "--trials", "30"],
+    ["claims", "--n", "16", "--gamma", "2", "--coalition", "1,5",
+     "--trials", "30"],
+], ids=lambda argv: argv[0])
+def test_fairness_parallel_matches_serial(tmp_path, argv):
     serial, par = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-    argv = ["fairness", "--n", "8", "--colors", "4x1,4x2",
-            "--trials", "30"]
     assert main(argv + ["--out", str(serial)]) == 0
     assert main(argv + ["--parallel", "3", "--out", str(par)]) == 0
     assert serial.read_bytes() == par.read_bytes()
@@ -270,6 +278,12 @@ def test_write_failure_reports_path(tmp_path, capsys):
     ["scaling", "--sizes", "8", "--trials", "1", "--parallel", "2"],
     ["run", "--n", "8", "--parallel", "2"],
     ["run", "--n", "2097152", "--gamma", "0.1"],
+    *(["attack", "--n", "8", "--trials", "2", "--coalition", "1",
+       "--strategy", "coherence_silence", "--option", f"victims={victims}"]
+      for victims in ("abc", "5", "[1.5]")),
+    ["scaling", "--sizes", "8", "--trials", "1", "--coalition", "1",
+     "--strategy", "k_underbid"],
+    ["scaling", "--sizes", "8", "--trials", "1", "--faulty", "2,3"],
 ], ids=" ".join)
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
@@ -294,3 +308,112 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["fairness", "--frobnicate"])
     assert exc.value.code == 2
+
+
+# Values each flag may take when the rest of the command line is valid,
+# and junk or edge values for it.
+VALID = {
+    "--gamma": ["0.5", "1", "2", "1e-9"],
+    "--chi": ["0", "1", "2.5"],
+    "--num-colors": ["3"],
+    "--seed": ["0", "1", "18446744073709551621"],
+    "--sigma-mult": ["4", "0.5"],
+    "--max-fail-rate": ["0.01", "1", "0"],
+    "--alpha": ["0.25", "0", "1"],
+    "--beta1": ["0.2", "0"],
+    "--beta2": ["8", "0"],
+    "--format": ["jsonl", "csv"],
+    "--parallel": ["1", "2"],
+}
+JUNK = {
+    "--n": ["0", "-3", "x", "2.5", ""],
+    "--trials": ["0", "-1", "x", "2.5"],
+    "--sizes": ["0", "8,x", "", "-1"],
+    "--gamma": ["0", "-1", "inf", "nan", "x"],
+    "--chi": ["-1", "nan", "x"],
+    "--num-colors": ["0", "1", "x"],
+    "--colors": ["3x3", "x", "", "0", "1,2"],
+    "--faulty": ["random:abc", "99", "0", "", "color:9:1", "random:99"],
+    "--coalition": ["0", "13", "1,1", "x", ""],
+    "--strategy": ["mystery", ""],
+    "--option": ["junk=1", "a=[", "=3", "noeq"],
+    "--seed": ["-1", "x"],
+    "--sigma-mult": ["0", "-1", "inf", "x"],
+    "--max-fail-rate": ["-1", "2", "x"],
+    "--alpha": ["2", "nan", "x"],
+    "--beta1": ["-1", "x"],
+    "--beta2": ["x"],
+    "--format": ["xml"],
+    "--parallel": ["0", "-1", "x"],
+}
+BUILT_IN_STRATEGIES = ["honest", "k_underbid", "commitment_mismatch",
+                       "fake_faulty", "coherence_silence"]
+OPTION_VALUES = {
+    "victims": ["[1]", "[1,2]", "[]", "[99]", "abc", "5", "[1.5]",
+                "[true]"],
+    "retarget": ["true", "1", "x"],
+    "equivocate": ["true", "0"],
+    "silent_voting": ["true", "[1]"],
+    "junk": ["1"],
+}
+
+
+def _ids(ids):
+    return ",".join(map(str, ids))
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line with n <= 12, trials <= 3 and sizes <= 16 that is
+    valid apart from clashes between flags and up to two junk flags."""
+    sub = draw(st.sampled_from(["run", "fairness", "attack", "claims",
+                                "scaling"]))
+    n = draw(st.integers(1, 12))
+    flags = {"--n": str(n), "--trials": str(draw(st.integers(1, 3)))}
+    if sub == "scaling":         # sizes default to 16,64,256: too slow
+        flags["--sizes"] = _ids(draw(st.lists(st.integers(1, 16),
+                                              min_size=1, max_size=3)))
+    elif draw(st.booleans()):
+        flags["--coalition"] = _ids(draw(st.lists(
+            st.integers(1, n), min_size=1, max_size=2, unique=True)))
+        strategy = draw(st.sampled_from(BUILT_IN_STRATEGIES))
+        flags["--strategy"] = strategy
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(
+                sorted(STRATEGIES[strategy].option_keys) + ["junk"]))
+            value = draw(st.sampled_from(OPTION_VALUES[key]))
+            flags["--option"] = f"{key}={value}"
+    if draw(st.booleans()):
+        flags["--colors"] = draw(st.sampled_from([
+            f"{n}x1", f"{n // 2}x1,{n - n // 2}x2",
+            _ids(u % 3 + 1 for u in range(n))]))
+    if draw(st.booleans()):
+        flags["--faulty"] = draw(st.sampled_from(
+            [str(n), "random", "random:1", "color:1:1"]))
+    for flag, values in VALID.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            flags[flag] = value
+    for flag in draw(st.lists(st.sampled_from(sorted(JUNK)), max_size=2)):
+        flags[flag] = draw(st.sampled_from(JUNK[flag]))
+    return [sub, *(part for item in flags.items() for part in item)]
+
+
+@given(cli_argv())
+@example(["attack", "--n", "8", "--trials", "2", "--coalition", "1",
+          "--strategy", "coherence_silence", "--option", "victims=abc"])
+@example(["claims", "--n", "8", "--trials", "2", "--coalition", "1",
+          "--strategy", "coherence_silence", "--option", "victims=5"])
+@settings(max_examples=300, deadline=None)
+def test_main_survives_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:         # argparse's usage error
+            assert exc.code == 2
+            return
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:           # a verdict that did not pass, never a crash
+        assert re.search(r"verdict: (FAIL|indeterminate)\n$", err.getvalue())

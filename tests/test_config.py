@@ -146,6 +146,7 @@ def test_calibration_from_document():
     {"n": 8, "bogus_field": 3},
     {"n": 8, "trials": 0},
     {"n": 8, "colors": "4x1"},              # count mismatch
+    {"n": 8, "colors": "4x1", "faulty": "color:1:1"},
     {"n": 8, "gamma": "abc"},
     {"n": 8, "gamma": float("inf")},
     {"n": 8, "trials": 2.5},                # no silent truncation
@@ -156,6 +157,9 @@ def test_calibration_from_document():
     {"n": 8, "sizes": [8, 0]},
     {"n": 8, "sizes": [8, "x"]},
     {"n": 8, "coalition": {"members": [1, "x"]}},
+    {"n": 8, "coalition": {"members": [1], "options": {"junk": 1}}},
+    {"n": 8, "coalition": {"members": [1], "strategy": "coherence_silence",
+                           "options": {"victims": "abc"}}},
     {"n": 8, "calibration": {"beta1": float("nan")}},
 ])
 def test_parse_config_rejects(doc):

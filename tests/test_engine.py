@@ -79,7 +79,7 @@ def test_round_count_tracks_parameters():
     for n, gamma in [(4, 1.0), (16, 2.0), (16, 4.0)]:
         cols = tuple(1 for _ in range(n))
         t = run_trial(SimConfig(n=n, gamma=gamma, colors=cols, num_colors=1),
-                      record_messages=False, record_votes=False)
+                      record=False)
         q = derive_params(n, gamma).phase_rounds
         assert t.stats.rounds == 4 * q
 
@@ -184,7 +184,7 @@ def test_flag_flips_frozen_seeds():
     def a5trial(seed, faulty):
         return run_trial(SimConfig(n=64, gamma=4.0, colors=HALF64,
                                    faulty=faulty, master_seed=seed),
-                         record_messages=False, record_votes=False)
+                         record=False)
 
     from fairgossip.protocol import FAULT_STREAM_TAG, derive_stream
 
@@ -276,8 +276,7 @@ def test_honest_kernel_matches_run_trial(monkeypatch):
         if config.n == 100:
             events["n100_redraw"] += len(redrawn)
         for seed, got in enumerate(fast):
-            t = run_trial(replace(config, master_seed=seed),
-                          record_messages=False, record_votes=False,
+            t = run_trial(replace(config, master_seed=seed), record=False,
                           calibration=calibration)
             assert got == (t.outcome, t.winner, t.flags), (config, seed)
             for f in seen:
@@ -349,12 +348,12 @@ def test_large_coalition_warns():
     cfg = SimConfig(n=8, gamma=2.0, colors=(1, 1, 1, 1, 2, 2, 2, 2),
                     coalition=CoalitionConfig(members=(1, 2, 3, 4)))
     with pytest.warns(CoalitionRegimeWarning):
-        run_trial(cfg, record_messages=False, record_votes=False)
+        run_trial(cfg, record=False)
     small = SimConfig(n=64, gamma=4.0, colors=HALF64,
                       coalition=CoalitionConfig(members=(1, 2, 3, 4)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", CoalitionRegimeWarning)
-        run_trial(small, record_messages=False, record_votes=False)
+        run_trial(small, record=False)
 
 
 def test_agent_payoff():
@@ -415,8 +414,7 @@ def test_trial_invariants_random_configs(seed, n, n_faulty):
     colors = tuple((i % 2) + 1 for i in range(n))
     faulty = frozenset(range(2, 2 + n_faulty))
     t = run_trial(SimConfig(n=n, gamma=1.5, colors=colors, faulty=faulty,
-                            master_seed=seed),
-                  record_messages=False, record_votes=False)
+                            master_seed=seed), record=False)
     q = t.params.phase_rounds
     assert t.stats.rounds == 4 * q
     active = set(range(1, n + 1)) - faulty

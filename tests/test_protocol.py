@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fairgossip.protocol import (
     BAD_CHECKSUM,
     MARKED_VOTER_NONZERO,
-    NO_REPLY_MARK,
     VOTE_MISMATCH,
     Certificate,
     ConfigError,
@@ -20,8 +19,6 @@ from fairgossip.protocol import (
     derive_params,
     derive_stream,
     draw_agents,
-    draw_contact_targets,
-    draw_vote_intention,
     make_certificate,
     min_certificate,
     payoff,
@@ -66,32 +63,39 @@ def test_vote_sum_frozen():
     assert vote_sum([(27, 1, 1)], 27) == 0  # representative of residue zero
 
 
-def test_draw_vote_intention_frozen_stream():
-    # pinned: derive_stream(1234, 1) over n=8, q=7, m=512
-    got = draw_vote_intention(P8, derive_stream(1234, 1))
+def intention(values, targets):
+    """An agent's q (value, target) vote pairs: its q values, each with
+    the matching one of the first q targets."""
+    return tuple(zip(values.tolist(), targets[:len(values)].tolist()))
+
+
+def test_drawn_intention_frozen_stream():
+    # pinned: agent 1 at seed 1234 over n=8, q=7, m=512
+    values, targets = draw_agents(1234, P8)
+    got = intention(values[1], targets[1])
     assert got == ((91, 8), (76, 1), (414, 6), (206, 8),
                    (484, 7), (30, 2), (476, 3))
-    # same (seed, label) replays identically; a different label diverges
-    again = draw_vote_intention(P8, derive_stream(1234, 1))
-    assert again == got
-    other = draw_vote_intention(P8, derive_stream(1234, 2))
-    assert other != got
+    # the same seed replays identically; another agent's row diverges
+    again, again_targets = draw_agents(1234, P8)
+    assert intention(again[1], again_targets[1]) == got
+    assert intention(values[2], targets[2]) != got
 
 
-def test_draw_contact_targets_frozen_stream():
-    assert draw_contact_targets(P8, derive_stream(1234, 2)) == [2, 7, 6, 5, 7, 8, 1]
+def agent_draws(seed, u, params):
+    """Agent u's value block and target block from its derived stream."""
+    gen = derive_stream(seed, u)
+    return (gen.integers(1, params.modulus + 1, size=params.phase_rounds),
+            gen.integers(1, params.n + 1, size=4 * params.phase_rounds))
 
 
 def reference_draws(seed, params):
     """What draw_agents computes, as the loop that defines it: one
     derived stream per agent, a value block then a target block."""
-    n, q, m = params.n, params.phase_rounds, params.modulus
+    n, q = params.n, params.phase_rounds
     values = np.zeros((n + 1, q), dtype=np.int64)
     targets = np.zeros((n + 1, 4 * q), dtype=np.int64)
     for u in range(1, n + 1):
-        gen = derive_stream(seed, u)
-        values[u] = gen.integers(1, m + 1, size=q)
-        targets[u] = gen.integers(1, n + 1, size=4 * q)
+        values[u], targets[u] = agent_draws(seed, u, params)
     return values, targets
 
 
@@ -151,7 +155,7 @@ def test_intention_target_frequencies_near_uniform():
     counts = [0] * (P8.n + 1)
     total = 0
     for agent in range(1, 4001):
-        for _, target in draw_vote_intention(P8, derive_stream(99, agent)):
+        for _, target in intention(*agent_draws(99, agent, P8)):
             counts[target] += 1
             total += 1
     for target in range(1, P8.n + 1):
@@ -162,22 +166,20 @@ def test_record_commitment_and_marks():
     ledger = Ledger()
     decl = ((10, 1), (5, 3))
     record_commitment(ledger, 2, decl, P4)
-    assert ledger.knows(2) and not ledger.is_marked(2)
-    assert ledger.entry(2, 1) == (10, 1)
-    assert ledger.entry(2, 2) == (5, 3)
+    assert ledger.declarations[2] == ((10, 1), (5, 3))
+    assert ledger.faulty_marks == frozenset()
 
     record_commitment(ledger, 4, None, P4)           # silence
-    assert ledger.is_marked(4)
-    assert ledger.entry(4, 1) == (NO_REPLY_MARK, 0)
+    assert ledger.declarations[4] is None
     assert ledger.faulty_marks == frozenset({4})
 
-    assert ledger.entry(3, 1) is None                # never pulled
+    assert 3 not in ledger.declarations              # never pulled
 
     # a re-pull overwrites: the later answer stands
     record_commitment(ledger, 4, decl, P4)
-    assert not ledger.is_marked(4)
+    assert ledger.declarations[4] == decl
     record_commitment(ledger, 2, None, P4)
-    assert ledger.is_marked(2)
+    assert ledger.faulty_marks == frozenset({2})
 
 
 def test_record_commitment_rejects_malformed():
@@ -196,7 +198,7 @@ def test_record_commitment_rejects_malformed():
         assert not valid_intention(reply, P4)
         ledger = Ledger()
         record_commitment(ledger, 3, reply, P4)
-        assert ledger.is_marked(3)
+        assert ledger.declarations == {3: None}
     # boundary values 0 and modulus are legal on the wire
     assert valid_intention(((0, 1), (64, 4)), P4)
 
@@ -311,6 +313,6 @@ def test_min_certificate_fold_reaches_minimum(tickets):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 100))
 @settings(max_examples=40)
 def test_drawn_intentions_are_valid_declarations(seed, agent):
-    decl = draw_vote_intention(P8, derive_stream(seed, agent))
+    decl = intention(*agent_draws(seed, agent, P8))
     assert valid_intention(decl, P8)
     assert all(1 <= v <= 512 and 1 <= t <= 8 for v, t in decl)
