@@ -2,7 +2,8 @@
 deterministic seeding, and report emission.
 
 Exit codes: 0 when every verdict in the emitted report passes, 1 when a
-verdict fails, 2 for configuration or I/O errors.
+verdict does not pass (it fails, or is indeterminate because no trial
+decided), 2 for configuration or I/O errors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 import yaml
@@ -302,7 +303,10 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: `parse_args` leaves it
+    as it was, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="fairgossip",
         description="Rational fair consensus simulator and experiment "

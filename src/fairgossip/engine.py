@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from fairgossip.protocol import (
     derive_params,
     derive_stream,
     draw_agents,
+    draw_batch,
     make_certificate,
     min_certificate,
     payoff,
@@ -627,6 +629,11 @@ def _classify(params, calibration, honest, active, member_set, tally_sizes,
 # (votes x modulus) stays below this; past it, in Python ints.
 _I64_SUM_LIMIT = 2 ** 63
 
+# The kernel draws its seeds in chunks of at most this many stream words
+# (seeds x agents x 5q): about 1 MB of words, and arrays of a few MB per
+# chunk in all.
+_CHUNK_WORDS = 1 << 17
+
 
 def run_honest_trials(config: SimConfig, seeds: Iterable[int],
                       calibration: Calibration = DEFAULT_CALIBRATION,
@@ -638,17 +645,25 @@ def run_honest_trials(config: SimConfig, seeds: Iterable[int],
     Without a coalition every certificate is built by the engine from a
     real tally and every ledger entry is a real intention, so verification
     always accepts: the outcome follows from the tickets, find-min and
-    coherence alone, and a certificate is identified by its owner. The
-    draws are ``draw_agents``'; find-min is ``run_trial``'s serialized loop
-    over (ticket, owner) pairs; coherence runs only when find-min left
-    different owners, and then aborts iff some push in some round reaches
-    a live agent holding another owner (until the first failure every
-    agent pushes). ``run_trial`` stays the definition; tests/test_engine.py
-    compares the two seed by seed.
+    coherence alone, and a certificate is identified by its owner. Seeds
+    are taken lazily, a chunk at a time; each chunk's draws come from one
+    ``draw_batch``, and its tickets, tally sizes and the flags that depend
+    on them alone are computed for the whole chunk. Find-min is then
+    ``run_trial``'s serialized loop over (ticket, owner) pairs, seed by
+    seed; coherence runs only when find-min left different owners, and
+    then aborts iff some push in some round reaches a live agent holding
+    another owner (until the first failure every agent pushes).
+    ``run_trial`` stays the definition; tests/test_engine.py compares the
+    two seed by seed.
     """
     if config.coalition is not None:
         raise ConfigError("run_honest_trials takes a coalition-free config")
     params = validate_config(config)
+    return _honest_trials(config, params, iter(seeds), calibration)
+
+
+def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int],
+                   calibration: Calibration):
     n, q, m = params.n, params.phase_rounds, params.modulus
     colors = config.colors
     active = [u for u in range(1, n + 1) if u not in config.faulty]
@@ -657,70 +672,79 @@ def run_honest_trials(config: SimConfig, seeds: Iterable[int],
     live[act] = True
     log_n = math.log(n)
     lo, hi = calibration.beta1 * log_n, calibration.beta2 * log_n
+    per_chunk = max(1, _CHUNK_WORDS // (n * 5 * q))
 
-    def trial(seed: int):
-        values, targets = draw_agents(seed, params)
-        values, targets = values[act], targets[act]
-        vote_tg = targets[:, :q]
-        # a vote to a faulty receiver is dropped; its bin is never read
-        sizes = np.bincount(vote_tg.ravel(), minlength=n + 1)
+    while chunk := list(islice(seeds, per_chunk)):
+        values, targets = draw_batch(chunk, params)
+        values, targets = values[:, act], targets[:, act]
+        vote_tg = targets[:, :, :q]
+        # one bin per (seed, receiver); a vote to a faulty receiver is
+        # dropped, and its bin is never read
+        bins = (vote_tg + (n + 1) * np.arange(len(chunk))[:, None, None]
+                ).ravel()
+        sizes = np.bincount(bins, minlength=len(chunk) * (n + 1))
         if int(sizes.max()) * m < _I64_SUM_LIMIT:
-            sums = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(sums, vote_tg, values)
-            held = (sums % m).tolist()
+            sums = np.zeros(len(chunk) * (n + 1), dtype=np.int64)
+            np.add.at(sums, bins, values.ravel())
+            tallies = (sums.reshape(-1, n + 1) % m).tolist()
         else:
-            held = [0] * (n + 1)
-            for v, t in zip(values.ravel().tolist(), vote_tg.ravel().tolist()):
-                held[t] += v
-            held = [s % m for s in held]
-        tickets = [held[u] for u in active]
+            tallies = []
+            for vals, tgs in zip(values, vote_tg):
+                held = [0] * (n + 1)
+                for v, t in zip(vals.ravel().tolist(), tgs.ravel().tolist()):
+                    held[t] += v
+                tallies.append([s % m for s in held])
+        band = sizes.reshape(-1, n + 1)[:, act]
+        in_band = ((lo <= band) & (band <= hi)).all(axis=1).tolist()
+        voted = (band > 0).all(axis=1).tolist()
+        covered = np.zeros((len(chunk), n + 1), dtype=bool)
+        covered[np.arange(len(chunk))[:, None, None],
+                targets[:, :, q:2 * q]] = True
+        commit_covered = covered[:, act].all(axis=1).tolist()
+        findmin_rows = targets[:, :, 2 * q:3 * q].transpose(0, 2, 1).tolist()
 
-        # find-min: pulls serialized in agent order, ties keep the incumbent;
-        # a faulty agent holds ticket m, so pulling it never changes a thing
-        owner = list(range(n + 1))
-        for u in config.faulty:
-            held[u] = m
-        for row in targets[:, 2 * q:3 * q].T.tolist():
-            for u, t in zip(active, row):
-                if held[t] < held[u]:
-                    held[u] = held[t]
-                    owner[u] = owner[t]
-        holders = [owner[u] for u in active]
-        head = holders[0]
-        converged = holders.count(head) == len(holders)
+        for i, held in enumerate(tallies):
+            tickets = [held[u] for u in active]
+            # find-min: pulls serialized in agent order, ties keep the
+            # incumbent; a faulty agent holds ticket m, so pulling it never
+            # changes a thing
+            owner = list(range(n + 1))
+            for u in config.faulty:
+                held[u] = m
+            for row in findmin_rows[i]:
+                for u, t in zip(active, row):
+                    if held[t] < held[u]:
+                        held[u] = held[t]
+                        owner[u] = owner[t]
+            holders = [owner[u] for u in active]
+            head = holders[0]
+            converged = holders.count(head) == len(holders)
 
-        failed = False
-        if not converged:
-            own = np.array(owner)
-            coherence_tg = targets[:, 3 * q:]
-            failed = bool(((own[coherence_tg] != own[act][:, None])
-                           & live[coherence_tg]).any())
-        color = colors[head - 1]
-        if failed:
-            winner = outcome = None
-        elif converged:
-            winner, outcome = head, color
-        else:
-            winner = None
-            outcome = color if all(colors[o - 1] == color
-                                   for o in holders) else None
+            failed = False
+            if not converged:
+                own = np.array(owner)
+                coherence_tg = targets[i, :, 3 * q:]
+                failed = bool(((own[coherence_tg] != own[act][:, None])
+                               & live[coherence_tg]).any())
+            color = colors[head - 1]
+            if failed:
+                winner = outcome = None
+            elif converged:
+                winner, outcome = head, color
+            else:
+                winner = None
+                outcome = color if all(colors[o - 1] == color
+                                       for o in holders) else None
 
-        band = sizes[act]
-        covered = np.zeros(n + 1, dtype=bool)
-        covered[targets[:, q:2 * q]] = True
-        voted = np.zeros(n + 1, dtype=bool)
-        voted[vote_tg] = True
-        flags = GoodExecutionFlags(
-            d2_votes_theta_logn=bool(((lo <= band) & (band <= hi)).all()),
-            d2_k_distinct=len(set(tickets)) == len(tickets),
-            d2_findmin_converged=converged,
-            d3_commit_covered=bool(covered[act].all()),
-            d3_coherence_agree_or_fail=converged or failed,
-            d3_untainted_voter=bool(voted[act].all()),
-        )
-        return outcome, winner, flags
-
-    return map(trial, seeds)
+            flags = GoodExecutionFlags(
+                d2_votes_theta_logn=in_band[i],
+                d2_k_distinct=len(set(tickets)) == len(tickets),
+                d2_findmin_converged=converged,
+                d3_commit_covered=commit_covered[i],
+                d3_coherence_agree_or_fail=converged or failed,
+                d3_untainted_voter=voted[i],
+            )
+            yield outcome, winner, flags
 
 
 # --- trace serialization --------------------------------------------------

@@ -99,50 +99,76 @@ def derive_stream(master_seed: int, label: int) -> np.random.Generator:
 
 def draw_agents(master_seed: int,
                 params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Every agent's own draws, as its derived stream yields them.
+    """One seed's ``draw_batch``: the (n+1, q) values and (n+1, 4q)
+    targets of every agent at ``master_seed``."""
+    values, targets = draw_batch([master_seed], params)
+    return values[0], targets[0]
 
-    Row u (1..n) of ``values``, shape (n+1, q), and of ``targets``, shape
-    (n+1, 4q), is what ``gen = derive_stream(master_seed, u)`` returns from
-    ``gen.integers(1, modulus + 1, size=q)`` and then
-    ``gen.integers(1, n + 1, size=4 * q)``; row 0 is unused. The rows are
-    computed for all agents at once from the same PCG64 streams and numpy's
-    bounded-integer map; a row that numpy would draw differently (a word
-    fell in the map's rejection zone) is re-drawn through ``derive_stream``
-    itself, as is every row when n < 2, when ``modulus`` needs more than 32
-    bits, or when the seed is negative (which ``derive_stream`` rejects).
+
+def draw_batch(seeds: Iterable[int],
+               params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's own draws at each seed, as its derived stream yields
+    them.
+
+    Row [i, u] (u in 1..n) of ``values``, shape (S, n+1, q), and of
+    ``targets``, shape (S, n+1, 4q), is what ``gen = derive_stream(seeds[i],
+    u)`` returns from ``gen.integers(1, modulus + 1, size=q)`` and then
+    ``gen.integers(1, n + 1, size=4 * q)``; row 0 is unused. The rows come
+    from all (seed, agent) streams at once, stepped as uint64 arrays (see
+    ``_lane_words``), and numpy's bounded-integer map. A row that numpy
+    would draw differently (a word fell in the map's rejection zone) is
+    re-drawn through ``derive_stream`` itself, as is every row when n < 2,
+    when ``modulus`` needs more than 32 bits, or when the seed is negative
+    (which ``derive_stream`` rejects).
     """
+    seeds = list(seeds)
     n, q, m = params.n, params.phase_rounds, params.modulus
-    values = np.zeros((n + 1, q), dtype=np.int64)
-    targets = np.zeros((n + 1, 4 * q), dtype=np.int64)
-    if master_seed < 0 or n < 2 or m > _U32:
-        redraw: Iterable[int] = range(1, n + 1)
-    else:
-        words = _agent_stream_words(master_seed, n, 5 * q)
+    values = np.zeros((len(seeds), n + 1, q), dtype=np.int64)
+    targets = np.zeros((len(seeds), n + 1, 4 * q), dtype=np.int64)
+    redraw: list[tuple[int, int]] = []
+    groups: dict[int, list[int]] = {}
+    for i, seed in enumerate(seeds):
+        if seed < 0 or n < 2 or m > _U32:
+            redraw.extend((i, u) for u in range(1, n + 1))
+        else:
+            groups.setdefault(_seed_words(seed), []).append(i)
+    for words, rows in groups.items():
+        drawn = _lane_words([seeds[i] for i in rows], words, n, 5 * q)
+        drawn = drawn.reshape(len(rows), n, 5 * q)
+        rejected = np.zeros((len(rows), n), dtype=bool)
         # numpy's map for a range r < 2**32: w -> (w * r) >> 32, redrawing
-        # w while the product's low half is below 2**32 mod r (Lemire 2019)
-        v = words[:, :q] * np.uint64(m)
-        t = words[:, q:] * np.uint64(n)
-        values[1:] = (v >> 32) + 1
-        targets[1:] = (t >> 32) + 1
-        rejected = (((v & _U32) < (1 << 32) % m).any(axis=1)
-                    | ((t & _U32) < (1 << 32) % n).any(axis=1))
-        redraw = (np.flatnonzero(rejected) + 1).tolist()
-    for u in redraw:
-        gen = derive_stream(master_seed, u)
-        values[u] = gen.integers(1, m + 1, size=q)
-        targets[u] = gen.integers(1, n + 1, size=4 * q)
+        # w while the product's low half is below 2**32 mod r (Lemire 2019),
+        # which is never for a power of two
+        for out, block, r in ((values, drawn[..., :q], m),
+                              (targets, drawn[..., q:], n)):
+            prod = np.multiply(block, np.uint64(r), dtype=np.uint64)
+            out[rows, 1:] = (prod >> _SHIFT32) + 1
+            if (1 << 32) % r:
+                rejected |= ((prod & _LOW32) < (1 << 32) % r).any(axis=2)
+        redraw.extend((rows[i], u + 1)
+                      for i, u in np.argwhere(rejected).tolist())
+    for i, u in redraw:
+        gen = derive_stream(seeds[i], u)
+        values[i, u] = gen.integers(1, m + 1, size=q)
+        targets[i, u] = gen.integers(1, n + 1, size=4 * q)
     return values, targets
 
 
 # numpy.random.SeedSequence's hash constants (a pool of four uint32 words)
 # and PCG64's 128-bit LCG multiplier.
 _U32 = 0xFFFFFFFF
+_U64 = (1 << 64) - 1
 _U128 = (1 << 128) - 1
 _SS_POOL = 4
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> int:
+    """How many uint32 words SeedSequence splits a non-negative int into."""
+    return max(1, -(-seed.bit_length() // 32))
 
 
 def _hash_stream(init: int, mult: int):
@@ -169,24 +195,103 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _agent_stream_words(master_seed: int, n: int, count: int) -> np.ndarray:
-    """The first ``count`` 32-bit words of each agent's derived stream, as
-    numpy's bounded-integer draws read them (the low half of each 64-bit
-    output, then its high half): a (n, count) uint64 array for agents
-    1..n. Needs a non-negative seed and agent ids below 2**32."""
-    # SeedSequence((master_seed, u)) hashes the seed's uint32 words, low
-    # word first, then u, into the pool, cross-mixes it, and expands it
-    # into four uint64 words; each step runs here on a column per agent.
-    seed_words = []
-    while True:
-        seed_words.append(master_seed & _U32)
-        master_seed >>= 32
-        if not master_seed:
-            break
-    entropy = np.zeros((max(len(seed_words) + 1, _SS_POOL), n),
-                       dtype=np.uint32)
-    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[len(seed_words)] = np.arange(1, n + 1, dtype=np.uint32)
+_SHIFT32, _LOW32 = np.uint64(32), np.uint64(_U32)
+
+
+class _U128Const(NamedTuple):
+    """A column of 128-bit constants as uint64 halves, with the low half
+    split again into 32-bit halves for ``_mulhi``."""
+    hi: np.ndarray
+    lo: np.ndarray
+    lo1: np.ndarray
+    lo0: np.ndarray
+
+    @classmethod
+    def of(cls, values: Sequence[int]) -> "_U128Const":
+        hi = np.array([c >> 64 for c in values], dtype=np.uint64)[:, None]
+        lo = np.array([c & _U64 for c in values], dtype=np.uint64)[:, None]
+        return cls(hi, lo, lo >> _SHIFT32, lo & _LOW32)
+
+    def head(self, rows: int) -> "_U128Const":
+        return _U128Const(*(part[:rows] for part in self))
+
+
+def _mulhi(x: np.ndarray, c1: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """The high uint64 of the 128-bit products x * c, c = c1 << 32 | c0:
+    four 32 x 32 -> 64-bit partial products and their carries."""
+    x1, x0 = x >> _SHIFT32, x & _LOW32
+    cross_a, cross_b = x0 * c1, x1 * c0
+    mid = x0 * c0
+    mid >>= _SHIFT32
+    mid += cross_a & _LOW32
+    mid += cross_b & _LOW32
+    mid >>= _SHIFT32
+    hi = x1 * c1
+    cross_a >>= _SHIFT32
+    cross_b >>= _SHIFT32
+    hi += cross_a
+    hi += cross_b
+    hi += mid
+    return hi
+
+
+def _mul_add(x_hi: np.ndarray, x_lo: np.ndarray, c: _U128Const,
+             y: Optional[tuple[np.ndarray, np.ndarray]] = None,
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(x * c + y) mod 2**128 on uint64 (high, low) halves; y defaults
+    to 0."""
+    hi = _mulhi(x_lo, c.lo1, c.lo0)
+    hi += x_hi * c.lo
+    hi += x_lo * c.hi
+    lo = x_lo * c.lo
+    if y is not None:
+        lo += y[1]
+        hi += y[0]
+        hi += lo < y[1]
+    return hi, lo
+
+
+def _jump(steps: int) -> tuple[int, int]:
+    """PCG64's LCG after ``steps`` steps is s -> a**steps * s + g * inc
+    (mod 2**128), g = (a**steps - 1) / (a - 1): this returns (a**steps, g)
+    (Brown, "Random Number Generation with Arbitrary Strides", 1994)."""
+    mult, g = 1, 0
+    for _ in range(steps):
+        mult, g = mult * _PCG64_MULT & _U128, (g * _PCG64_MULT + 1) & _U128
+    return mult, g
+
+
+# Outputs are computed a block of J states at a time: the first block
+# from each lane's seeding input in one jump per row, each later one from
+# the block before in one jump of J steps. J is the largest power of two
+# from 8 to _MAX_STRIDE whose block holds at most _BLOCK_NUMBERS states (8
+# if none does): one seed's lanes then take few numpy calls, and a batch's
+# blocks stay small enough for the cache.
+_MAX_STRIDE = 64
+_BLOCK_NUMBERS = 1 << 13
+_FIRST_MULT, _FIRST_INC = (
+    _U128Const.of(c)
+    for c in zip(*(_jump(k + 1) for k in range(1, _MAX_STRIDE + 1))))
+_STRIDES = {j: tuple(_U128Const.of([c]) for c in _jump(j))
+            for j in (8, 16, 32, 64)}
+
+
+def _lane_words(seeds: Sequence[int], words: int, n: int,
+                count: int) -> np.ndarray:
+    """The first ``count`` 32-bit words of the derived stream of every
+    (seed, agent) lane, as numpy's bounded-integer draws read them (the low
+    half of each 64-bit output, then its high half): a (len(seeds) * n,
+    count) uint32 array, lane i * n + u - 1 for agent u at seeds[i]. Every
+    seed splits into ``words`` uint32 words; agent ids are below 2**32."""
+    lanes = len(seeds) * n
+    # SeedSequence((seed, u)) hashes the seed's uint32 words, low word
+    # first, then u, into the pool, cross-mixes it, and expands it into
+    # four uint64 words; each step runs here on a column per lane.
+    entropy = np.zeros((max(words + 1, _SS_POOL), lanes), dtype=np.uint32)
+    for w in range(words):
+        entropy[w] = np.repeat(np.array([s >> 32 * w & _U32 for s in seeds],
+                                        dtype=np.uint32), n)
+    entropy[words] = np.tile(np.arange(1, n + 1, dtype=np.uint32), len(seeds))
     hashmix = _hash_stream(_SS_INIT_A, _SS_MULT_A)
     pool = hashmix(entropy[:_SS_POOL], _SS_POOL)
     for src in range(_SS_POOL):
@@ -196,24 +301,43 @@ def _agent_stream_words(master_seed: int, n: int, count: int) -> np.ndarray:
         pool = _mix(pool, hashmix(word, _SS_POOL))
     state = _hash_stream(_SS_INIT_B, _SS_MULT_B)(
         np.tile(pool, (2, 1)), 2 * _SS_POOL).astype(np.uint64)
-    seed64 = (state[1::2] << 32 | state[0::2]).tolist()
+    s_hi, s_lo, i_hi, i_lo = state[1::2] << _SHIFT32 | state[0::2]
 
-    # PCG64 seeding: inc = 2*initseq + 1, then two LCG steps around adding
-    # initstate; the seeded state goes on one reused bit generator.
-    bitgen = np.random.PCG64(0)
-    inner = {"state": 0, "inc": 0}
-    setting = {"bit_generator": "PCG64", "state": inner,
-               "has_uint32": 0, "uinteger": 0}
-    blocks = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*seed64):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _U128
-        inner["inc"] = inc
-        inner["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT
-                          + inc) & _U128
-        bitgen.state = setting
-        blocks.append(bitgen.random_raw((count + 1) // 2))
-    raw = np.stack(blocks)
-    return np.stack((raw & _U32, raw >> 32), axis=-1).reshape(n, -1)[:, :count]
+    # PCG64 seeding sets inc = 2*initseq + 1 and x = inc + initstate, then
+    # takes one LCG step, and output k reads the state k steps after that:
+    # XSL-RR (the xor of the halves, rotated right by the top six bits;
+    # O'Neill, "PCG", 2014) of a**(k+1) * x + g(k+1) * inc. Each 128-bit
+    # number is kept as uint64 (high, low) halves.
+    inc = (i_hi << np.uint64(1) | i_lo >> np.uint64(63),
+           i_lo << np.uint64(1) | np.uint64(1))
+    x_lo = inc[1] + s_lo
+    x_hi = inc[0] + s_hi + (x_lo < s_lo)
+    outputs = (count + 1) // 2
+    stride = 8
+    while stride < _MAX_STRIDE and 2 * stride * lanes <= _BLOCK_NUMBERS:
+        stride *= 2
+    rows = min(stride, outputs)
+    block = _mul_add(x_hi, x_lo, _FIRST_MULT.head(rows),
+                     _mul_add(*inc, _FIRST_INC.head(rows)))
+    stride_mult, stride_inc = _STRIDES[stride]
+    if outputs > stride:
+        stride_inc = _mul_add(*inc, stride_inc)
+    raw = np.empty((outputs, lanes), dtype=np.uint64)
+    for k in range(0, outputs, stride):
+        if k:
+            block = _mul_add(*block, stride_mult, stride_inc)
+        hi, lo = (h[:outputs - k] for h in block)
+        rot = hi >> np.uint64(58)
+        x = hi ^ lo
+        out = raw[k:k + stride]
+        np.right_shift(x, rot, out=out)
+        np.subtract(np.uint64(64), rot, out=rot)
+        rot &= np.uint64(63)
+        x <<= rot
+        out |= x
+    # each 64-bit output is read as its low 32-bit word, then its high one
+    words = np.ascontiguousarray(raw.T).astype("<u8", copy=False)
+    return words.view("<u4")[:, :count]
 
 
 def valid_intention(decl: object, params: Params) -> bool:

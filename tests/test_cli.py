@@ -154,6 +154,15 @@ def test_fairness_fail_exit_code(tmp_path):
                  "--out", str(tmp_path / "f.jsonl")]) == 1
 
 
+def test_indeterminate_verdict_exits_one(tmp_path, capsys):
+    # the only trial aborts, so no colour has a win frequency to test:
+    # exit code 1 means "did not pass", indeterminate as well as FAIL
+    assert main(["fairness", "--n", "3", "--trials", "1", "--gamma", "0.5",
+                 "--out", str(tmp_path / "f.jsonl")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "fairness verdict: indeterminate")
+
+
 def test_fairness_csv_table(tmp_path):
     out = tmp_path / "fair.csv"
     assert main(["fairness", "--n", "8", "--colors", "4x1,4x2",
@@ -308,6 +317,32 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["fairness", "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_is_shared_across_calls(tmp_path, monkeypatch):
+    # main() reuses one parser per process; a flag given to one call must
+    # not leak into the next, and each subcommand keeps its own handler
+    import fairgossip.cli as cli
+
+    seen = []
+    resolve = cli._resolve
+
+    def spy(args):
+        seen.append((args.subcommand, args.func.__name__, args.option))
+        return resolve(args)
+
+    monkeypatch.setattr(cli, "_resolve", spy)
+    attack = ["attack", "--n", "8", "--trials", "2", "--coalition", "1",
+              "--strategy", "commitment_mismatch",
+              "--out", str(tmp_path / "a.jsonl")]
+    assert main(attack + ["--option", "retarget=true"]) in (0, 1)
+    assert main(attack) in (0, 1)
+    assert main(["fairness", "--n", "8", "--trials", "4",
+                 "--out", str(tmp_path / "f.jsonl")]) in (0, 1)
+    assert seen == [("attack", "_cmd_attack", ["retarget=true"]),
+                    ("attack", "_cmd_attack", None),
+                    ("fairness", "_cmd_fairness", None)]
+    assert cli.build_parser() is cli.build_parser()
 
 
 # Values each flag may take when the rest of the command line is valid,

@@ -291,6 +291,39 @@ def test_honest_kernel_matches_run_trial(monkeypatch):
     assert all(events.values()), events
 
 
+def test_honest_kernel_takes_seeds_lazily_in_chunks():
+    # more seeds than one chunk holds, with one- to three-word seeds mixed
+    # inside each chunk; the kernel pulls a chunk's seeds only when it
+    # needs them
+    from dataclasses import replace
+
+    import fairgossip.engine as engine
+
+    config = SimConfig(n=17, gamma=1.5, colors=tuple(i % 2 + 1
+                                                     for i in range(17)),
+                       faulty=frozenset({3}))
+    q = derive_params(17, 1.5).phase_rounds
+    per_chunk = engine._CHUNK_WORDS // (17 * 5 * q)
+    seeds = [s if s % 3 == 0 else s + 2**32 if s % 3 == 1 else s + 2**70
+             for s in range(per_chunk * 2 + 50)]
+    pulled = []
+
+    def feed():
+        for seed in seeds:
+            pulled.append(seed)
+            yield seed
+
+    results = run_honest_trials(config, feed())
+    assert not pulled
+    first = next(results)
+    assert len(pulled) == per_chunk
+    got = [first, *results]
+    assert len(got) == len(seeds) == len(pulled)
+    for seed, result in zip(seeds, got):
+        t = run_trial(replace(config, master_seed=seed), record=False)
+        assert result == (t.outcome, t.winner, t.flags), seed
+
+
 def test_honest_kernel_sums_past_int64_in_python_ints(monkeypatch):
     import fairgossip.engine as engine
 

@@ -19,6 +19,7 @@ from fairgossip.protocol import (
     derive_params,
     derive_stream,
     draw_agents,
+    draw_batch,
     make_certificate,
     min_certificate,
     payoff,
@@ -148,6 +149,59 @@ def test_draw_agents_redraws_rejected_rows(monkeypatch):
 def test_draw_agents_rejects_negative_seed():
     with pytest.raises(ValueError):
         draw_agents(-1, P8)
+
+
+def assert_batch_matches(seeds, params):
+    values, targets = draw_batch(seeds, params)
+    n, q = params.n, params.phase_rounds
+    assert values.shape == (len(seeds), n + 1, q)
+    assert targets.shape == (len(seeds), n + 1, 4 * q)
+    for i, seed in enumerate(seeds):
+        assert_same_draws((values[i], targets[i]),
+                          reference_draws(seed, params))
+
+
+# one to seven uint32 words: SeedSequence hashes each word count differently
+MIXED_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 3, 2**64 + 5, 2**200]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 100, 256, 1626])
+def test_draw_batch_matches_derived_streams(n):
+    assert_batch_matches(MIXED_SEEDS, derive_params(n, 2.0))
+
+
+@given(st.lists(st.integers(0, 2**200) | st.integers(0, 2**33), max_size=6),
+       st.integers(1, 40), st.sampled_from([0.5, 3.0]))
+@settings(max_examples=40, deadline=None)
+def test_draw_batch_matches_any_batch(seeds, n, gamma):
+    # any mix of word counts, repeats and order, the empty batch included
+    assert_batch_matches(seeds, derive_params(n, gamma))
+
+
+def test_draw_batch_redraws_rejected_rows_in_place(monkeypatch):
+    import fairgossip.protocol as protocol
+    redrawn = []
+
+    def counting(seed, label):
+        redrawn.append((seed, label))
+        return derive_stream(seed, label)
+
+    monkeypatch.setattr(protocol, "derive_stream", counting)
+    params = derive_params(100, 4.0)
+    seeds = [2**40 + 1, *range(30), 2**70]
+    assert_batch_matches(seeds, params)
+    batch_redraws = {seed for seed, _ in redrawn if seed in seeds}
+    assert len(batch_redraws) > 1     # several seeds' rows in one batch
+    assert len(redrawn) < len(seeds) * 100 // 10
+
+
+def test_draw_batch_rejects_negative_seed_as_derive_stream_does():
+    with pytest.raises(ValueError) as want:
+        derive_stream(-1, 1)
+    for params in (P8, derive_params(1, 1.0)):
+        with pytest.raises(ValueError) as got:
+            draw_batch([3, -1, 2**40], params)
+        assert str(got.value) == str(want.value)
 
 
 def test_intention_target_frequencies_near_uniform():
