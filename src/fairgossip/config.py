@@ -49,8 +49,11 @@ class ExperimentConfig:
 
 def _coerce(name: str, value: Any, kind: type) -> Any:
     """``kind(value)`` for a user-supplied field, or a ConfigError naming
-    it. A float must be finite; an int may not drop a fractional part."""
+    it. A bool is no number; a float must be finite; an int may not drop
+    a fractional part."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(
@@ -71,7 +74,7 @@ def expand_colors(spec: Any, n: int) -> tuple[int, ...]:
     if spec is None:
         return tuple((i % 2) + 1 for i in range(n))
     if isinstance(spec, (list, tuple)):
-        if not all(isinstance(c, int) for c in spec):
+        if not all(type(c) is int for c in spec):
             raise ConfigError("colors: list entries must be integers")
         return tuple(spec)
     if not isinstance(spec, str):
@@ -102,7 +105,7 @@ def resolve_faulty(spec: Any, n: int, colors: tuple[int, ...],
     if spec is None:
         return frozenset()
     if isinstance(spec, (list, tuple, set, frozenset)):
-        if not all(isinstance(u, int) for u in spec):
+        if not all(type(u) is int for u in spec):
             raise ConfigError("faulty: ids must be integers")
         return frozenset(spec)
     if isinstance(spec, str):
@@ -190,7 +193,7 @@ def parse_config(doc: Optional[Mapping] = None,
     if "n" not in merged:
         raise ConfigError("n: required")
     n = merged["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConfigError(f"n: need a positive integer, got {n!r}")
     if n > MAX_AGENTS:
         # before any n-length colour or fault tuple is built

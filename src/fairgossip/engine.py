@@ -178,7 +178,6 @@ class Trace:
     cert_min: dict[int, Certificate]      # fixed from find-min onward
     faulty_marks: dict[int, tuple[int, ...]]
     coalition_pulled: frozenset[int]      # agents whose intention members saw
-    covered_by_honest: frozenset[int]     # agents pinned by an honest pull
     failures: dict[int, int]              # agent -> coherence round it failed
     decisions: dict[int, Optional[int]]
     winner: Optional[int]
@@ -199,17 +198,17 @@ def validate_config(config: SimConfig) -> Params:
     n = config.n
     if len(config.colors) != n:
         raise ConfigError(f"need {n} colors, got {len(config.colors)}")
-    if not all(isinstance(c, int) and 1 <= c <= config.num_colors
+    if not all(type(c) is int and 1 <= c <= config.num_colors
                for c in config.colors):
         raise ConfigError("colors must be ints in [1, num_colors]")
-    if not all(isinstance(u, int) and 1 <= u <= n for u in config.faulty):
+    if not all(type(u) is int and 1 <= u <= n for u in config.faulty):
         raise ConfigError("faulty ids outside agent range")
     members: tuple[int, ...] = ()
     if config.coalition is not None:
         members = config.coalition.members
         if len(set(members)) != len(members):
             raise ConfigError("duplicate coalition members")
-        if not all(isinstance(u, int) and 1 <= u <= n for u in members):
+        if not all(type(u) is int and 1 <= u <= n for u in members):
             raise ConfigError("coalition members outside agent range")
         if set(members) & config.faulty:
             raise ConfigError("coalition members cannot be faulty")
@@ -244,8 +243,8 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # Per-agent randomness: one value block then one target block per agent,
     # consumed in phase order. Faulty agents draw too — draws are a function
     # of (seed, id) alone, so the fault set never shifts anyone's stream.
-    all_values, all_targets = draw_agents(seed, params)
-    all_values, all_targets = all_values.tolist(), all_targets.tolist()
+    drawn_values, drawn_targets = draw_agents(seed, params)
+    all_values, all_targets = drawn_values.tolist(), drawn_targets.tolist()
     intentions: list = [None] * (n + 1)
     commit_tg: list = [None] * (n + 1)
     findmin_tg: list = [None] * (n + 1)
@@ -294,7 +293,6 @@ def run_trial(config: SimConfig, *, record: bool = True,
         ledgers[u] = Ledger()
     for b in members:
         views[b].ledger = ledgers[b]
-    covered = [False] * (n + 1)   # pulled at least once by an honest agent
     coalition_pulled: set[int] = set()
     first_declarations: dict[int, Optional[tuple]] = {}
 
@@ -344,11 +342,8 @@ def run_trial(config: SimConfig, *, record: bool = True,
                         messages.append((PHASE_COMMITMENT, rnd, t, u,
                                          "intention_reply", b_reply))
                 ledgers[u].declarations[t] = intentions[t]
-            if u in member_set:
-                if t != u:
-                    coalition_pulled.add(t)
-            else:
-                covered[t] = True
+            if u in member_set and t != u:
+                coalition_pulled.add(t)
     phase_msgs[PHASE_COMMITMENT] = n_msgs
     phase_bits[PHASE_COMMITMENT] = n_bits
 
@@ -470,8 +465,6 @@ def run_trial(config: SimConfig, *, record: bool = True,
     phase_msgs[PHASE_FIND_MIN] = n_msgs
     phase_bits[PHASE_FIND_MIN] = n_bits
 
-    post_findmin = {u: ce_min[u] for u in active}
-
     # --- coherence: q rounds of pushing; a conflicting certificate is fatal
     failures: dict[int, int] = {}
     n_msgs = 0
@@ -533,12 +526,12 @@ def run_trial(config: SimConfig, *, record: bool = True,
         else:
             decisions[u] = default
 
-    if any(u in failures for u in honest):
-        winner = None
-    else:
-        head = ce_min[honest[0]]
-        winner = head.owner if all(
-            ce_min[u] is head or ce_min[u] == head for u in honest) else None
+    # nothing replaces a certificate after find-min, so this is both
+    # find-min's convergence and the agreement coherence ends in
+    head = ce_min[honest[0]]
+    converged = all(ce_min[u] is head or ce_min[u] == head for u in honest)
+    failed = any(u in failures for u in honest)
+    winner = head.owner if converged and not failed else None
 
     first_decision = decisions[honest[0]]
     if first_decision is not None and all(
@@ -547,9 +540,17 @@ def run_trial(config: SimConfig, *, record: bool = True,
     else:
         outcome = None
 
-    flags = _classify(params, calibration, honest, active, member_set,
-                      tally_sizes, tickets, post_findmin, ce_min, failures,
-                      covered, coalition_pulled, intentions)
+    # honest agents pull and vote for their drawn targets
+    sizes = np.zeros((1, n + 1), dtype=np.int64)
+    sizes[0, active] = [tally_sizes[u] for u in active]
+    untainted = [v for v in honest if v not in coalition_pulled]
+    flags, = _classify(
+        params, calibration, active, sizes,
+        np.bincount(drawn_targets[honest, q:2 * q].ravel(),
+                    minlength=n + 1)[None],
+        np.bincount(drawn_targets[untainted, :q].ravel(),
+                    minlength=n + 1)[None],
+        [[tickets[u] for u in honest]], [converged], [failed])
 
     by_phase = tuple((p, phase_msgs[p], phase_bits[p]) for p in PHASES)
     stats = MessageStats(
@@ -570,7 +571,6 @@ def run_trial(config: SimConfig, *, record: bool = True,
         faulty_marks={u: tuple(sorted(ledgers[u].faulty_marks))
                       for u in active},
         coalition_pulled=frozenset(coalition_pulled),
-        covered_by_honest=frozenset(u for u in active if covered[u]),
         failures=failures,
         decisions=decisions,
         winner=winner,
@@ -582,45 +582,30 @@ def run_trial(config: SimConfig, *, record: bool = True,
     )
 
 
-def _classify(params, calibration, honest, active, member_set, tally_sizes,
-              tickets, post_findmin, ce_min, failures, covered,
-              coalition_pulled, intentions) -> GoodExecutionFlags:
+def _classify(params, calibration, active, sizes, pulls, votes, tickets,
+              converged, failed) -> list[GoodExecutionFlags]:
+    """The flags of a batch of trials, one row each. ``sizes``, ``pulls``
+    and ``votes`` are (trials, n+1) counts per agent: tally size,
+    commitment pulls by honest agents, and intended votes from honest
+    agents that no member pulled. Per trial, ``tickets`` are the honest
+    agents' tickets, ``converged`` says find-min left every honest agent
+    the same certificate and ``failed`` that one of them failed
+    coherence."""
     log_n = math.log(params.n)
-    lo = calibration.beta1 * log_n
-    hi = calibration.beta2 * log_n
-    votes_band = all(lo <= tally_sizes[u] <= hi for u in active)
-
-    honest_tickets = [tickets[u] for u in honest]
-    k_distinct = len(set(honest_tickets)) == len(honest_tickets)
-
-    head = post_findmin[honest[0]]
-    converged = all(post_findmin[u] is head or post_findmin[u] == head
-                    for u in honest)
-
-    commit_covered = all(covered[u] for u in active)
-
-    if any(u in failures for u in honest):
-        agree_or_fail = True
-    else:
-        head_end = ce_min[honest[0]]
-        agree_or_fail = all(ce_min[u] is head_end or ce_min[u] == head_end
-                            for u in honest)
-
-    tainted = member_set | coalition_pulled
-    untainted_targets: set[int] = set()
-    for v in honest:
-        if v not in tainted:
-            untainted_targets.update(t for _, t in intentions[v])
-    untainted_voter = all(u in untainted_targets for u in active)
-
-    return GoodExecutionFlags(
-        d2_votes_theta_logn=votes_band,
-        d2_k_distinct=k_distinct,
-        d2_findmin_converged=converged,
-        d3_commit_covered=commit_covered,
-        d3_coherence_agree_or_fail=agree_or_fail,
-        d3_untainted_voter=untainted_voter,
-    )
+    lo, hi = calibration.beta1 * log_n, calibration.beta2 * log_n
+    band = sizes[:, active]
+    in_band = ((lo <= band) & (band <= hi)).all(axis=1).tolist()
+    covered = (pulls[:, active] > 0).all(axis=1).tolist()
+    voted = (votes[:, active] > 0).all(axis=1).tolist()
+    return [GoodExecutionFlags(
+                d2_votes_theta_logn=b,
+                d2_k_distinct=len(set(k)) == len(k),
+                d2_findmin_converged=c,
+                d3_commit_covered=p,
+                d3_coherence_agree_or_fail=c or f,
+                d3_untainted_voter=v)
+            for b, k, c, f, p, v in zip(in_band, tickets, converged, failed,
+                                        covered, voted)]
 
 
 # --- coalition-free kernel ------------------------------------------------
@@ -647,14 +632,14 @@ def run_honest_trials(config: SimConfig, seeds: Iterable[int],
     always accepts: the outcome follows from the tickets, find-min and
     coherence alone, and a certificate is identified by its owner. Seeds
     are taken lazily, a chunk at a time; each chunk's draws come from one
-    ``draw_batch``, and its tickets, tally sizes and the flags that depend
-    on them alone are computed for the whole chunk. Find-min is then
-    ``run_trial``'s serialized loop over (ticket, owner) pairs, seed by
-    seed; coherence runs only when find-min left different owners, and
-    then aborts iff some push in some round reaches a live agent holding
-    another owner (until the first failure every agent pushes).
-    ``run_trial`` stays the definition; tests/test_engine.py compares the
-    two seed by seed.
+    ``draw_batch``, its tickets and tally sizes are computed for the whole
+    chunk, and its flags come from ``run_trial``'s classifier in one call
+    per chunk. Find-min is ``run_trial``'s serialized loop over (ticket,
+    owner) pairs, seed by seed; coherence runs only when find-min left
+    different owners, and then aborts iff some push in some round reaches
+    a live agent holding another owner (until the first failure every
+    agent pushes). ``run_trial`` stays the definition;
+    tests/test_engine.py compares the two seed by seed.
     """
     if config.coalition is not None:
         raise ConfigError("run_honest_trials takes a coalition-free config")
@@ -670,39 +655,27 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int],
     act = np.array(active)
     live = np.zeros(n + 1, dtype=bool)
     live[act] = True
-    log_n = math.log(n)
-    lo, hi = calibration.beta1 * log_n, calibration.beta2 * log_n
     per_chunk = max(1, _CHUNK_WORDS // (n * 5 * q))
 
     while chunk := list(islice(seeds, per_chunk)):
         values, targets = draw_batch(chunk, params)
         values, targets = values[:, act], targets[:, act]
-        vote_tg = targets[:, :, :q]
-        # one bin per (seed, receiver); a vote to a faulty receiver is
+        # one bin per (seed, agent); a vote to a faulty receiver is
         # dropped, and its bin is never read
-        bins = (vote_tg + (n + 1) * np.arange(len(chunk))[:, None, None]
-                ).ravel()
-        sizes = np.bincount(bins, minlength=len(chunk) * (n + 1))
-        if int(sizes.max()) * m < _I64_SUM_LIMIT:
-            sums = np.zeros(len(chunk) * (n + 1), dtype=np.int64)
-            np.add.at(sums, bins, values.ravel())
-            tallies = (sums.reshape(-1, n + 1) % m).tolist()
-        else:
-            tallies = []
-            for vals, tgs in zip(values, vote_tg):
-                held = [0] * (n + 1)
-                for v, t in zip(vals.ravel().tolist(), tgs.ravel().tolist()):
-                    held[t] += v
-                tallies.append([s % m for s in held])
-        band = sizes.reshape(-1, n + 1)[:, act]
-        in_band = ((lo <= band) & (band <= hi)).all(axis=1).tolist()
-        voted = (band > 0).all(axis=1).tolist()
-        covered = np.zeros((len(chunk), n + 1), dtype=bool)
-        covered[np.arange(len(chunk))[:, None, None],
-                targets[:, :, q:2 * q]] = True
-        commit_covered = covered[:, act].all(axis=1).tolist()
+        offsets = (n + 1) * np.arange(len(chunk))[:, None, None]
+        bins = (targets[:, :, :q] + offsets).ravel()
+        size = len(chunk) * (n + 1)
+        sizes = np.bincount(bins, minlength=size)
+        dtype = np.int64 if int(sizes.max()) * m < _I64_SUM_LIMIT else object
+        sums = np.zeros(size, dtype=dtype)
+        np.add.at(sums, bins, values.ravel().astype(dtype))
+        tallies = (sums.reshape(-1, n + 1) % m).tolist()
+        sizes = sizes.reshape(-1, n + 1)
+        pulls = np.bincount((targets[:, :, q:2 * q] + offsets).ravel(),
+                            minlength=size).reshape(-1, n + 1)
         findmin_rows = targets[:, :, 2 * q:3 * q].transpose(0, 2, 1).tolist()
 
+        results = []
         for i, held in enumerate(tallies):
             tickets = [held[u] for u in active]
             # find-min: pulls serialized in agent order, ties keep the
@@ -735,16 +708,14 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int],
                 winner = None
                 outcome = color if all(colors[o - 1] == color
                                        for o in holders) else None
+            results.append((outcome, winner, tickets, converged, failed))
 
-            flags = GoodExecutionFlags(
-                d2_votes_theta_logn=in_band[i],
-                d2_k_distinct=len(set(tickets)) == len(tickets),
-                d2_findmin_converged=converged,
-                d3_commit_covered=commit_covered[i],
-                d3_coherence_agree_or_fail=converged or failed,
-                d3_untainted_voter=voted[i],
-            )
-            yield outcome, winner, flags
+        outcomes, winners, tickets, converged, failed = zip(*results)
+        # every active agent is honest and votes as drawn, so the tally
+        # sizes are the untainted vote counts too
+        flags = _classify(params, calibration, act, sizes, pulls, sizes,
+                          tickets, converged, failed)
+        yield from zip(outcomes, winners, flags)
 
 
 # --- trace serialization --------------------------------------------------

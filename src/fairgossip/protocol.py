@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -68,16 +69,16 @@ class Params:
 def derive_params(n: int, gamma: float, chi: float = 1.0,
                   num_colors: int = 2) -> Params:
     """Validate the base inputs and fix the derived constants."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
     if n > MAX_AGENTS:
         raise ConfigError(f"n must be below 2**21 so that the modulus n**3 "
                           f"can be drawn, got {n}")
-    if not (math.isfinite(gamma) and gamma > 0):
+    if isinstance(gamma, bool) or not (math.isfinite(gamma) and gamma > 0):
         raise ConfigError(f"gamma must be positive and finite, got {gamma!r}")
-    if not (math.isfinite(chi) and chi >= 0):
+    if isinstance(chi, bool) or not (math.isfinite(chi) and chi >= 0):
         raise ConfigError(f"chi must be non-negative and finite, got {chi!r}")
-    if not isinstance(num_colors, int) or num_colors < 1:
+    if type(num_colors) is not int or num_colors < 1:
         raise ConfigError(f"num_colors must be a positive integer, got {num_colors!r}")
     rounds = max(1, math.ceil(gamma * math.log(n)))
     return Params(n=n, gamma=float(gamma), chi=float(chi),
@@ -171,23 +172,29 @@ def _seed_words(seed: int) -> int:
     return max(1, -(-seed.bit_length() // 32))
 
 
-def _hash_stream(init: int, mult: int):
-    """SeedSequence's hashmix, whose constant advances by ``mult`` on every
-    call: ``hashmix(x, k)`` makes the next k calls, one per row of the
-    (k, ...) result, on x broadcast against a (k, 1) column."""
-    const = init
+@cache
+def _hash_constants(init: int, mult: int, rows: tuple[int, ...],
+                    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """SeedSequence's hashmix xors with a constant and multiplies by the
+    next, which advances by ``mult`` on every call; this returns the
+    (xor, multiply) uint32 columns of consecutive ``_hashmix`` steps from
+    ``init``, step i making rows[i] calls."""
+    seq = [init]
+    for _ in range(sum(rows)):
+        seq.append(seq[-1] * mult & _U32)
+    xor = np.array(seq[:-1], dtype=np.uint32)[:, None]
+    mul = np.array(seq[1:], dtype=np.uint32)[:, None]
+    xor.flags.writeable = mul.flags.writeable = False
+    ends = np.cumsum(rows).tolist()
+    return tuple((xor[end - k:end], mul[end - k:end])
+                 for k, end in zip(rows, ends))
 
-    def hashmix(x: np.ndarray, k: int) -> np.ndarray:
-        nonlocal const
-        seq = [const]
-        for _ in range(k):
-            seq.append(seq[-1] * mult & _U32)
-        const = seq[-1]
-        x = ((x ^ np.array(seq[:-1], dtype=np.uint32)[:, None])
-             * np.array(seq[1:], dtype=np.uint32)[:, None])
-        return x ^ (x >> 16)
 
-    return hashmix
+def _hashmix(x: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """One hashmix call per row of the (k, 1) constant columns, on x
+    broadcast against them."""
+    x = (x ^ xor) * mul
+    return x ^ (x >> 16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -292,15 +299,18 @@ def _lane_words(seeds: Sequence[int], words: int, n: int,
         entropy[w] = np.repeat(np.array([s >> 32 * w & _U32 for s in seeds],
                                         dtype=np.uint32), n)
     entropy[words] = np.tile(np.arange(1, n + 1, dtype=np.uint32), len(seeds))
-    hashmix = _hash_stream(_SS_INIT_A, _SS_MULT_A)
-    pool = hashmix(entropy[:_SS_POOL], _SS_POOL)
+    steps = iter(_hash_constants(
+        _SS_INIT_A, _SS_MULT_A,
+        (_SS_POOL,) + (_SS_POOL - 1,) * _SS_POOL
+        + (_SS_POOL,) * (len(entropy) - _SS_POOL)))
+    pool = _hashmix(entropy[:_SS_POOL], *next(steps))
     for src in range(_SS_POOL):
         dst = [d for d in range(_SS_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], hashmix(pool[src], len(dst)))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
     for word in entropy[_SS_POOL:]:
-        pool = _mix(pool, hashmix(word, _SS_POOL))
-    state = _hash_stream(_SS_INIT_B, _SS_MULT_B)(
-        np.tile(pool, (2, 1)), 2 * _SS_POOL).astype(np.uint64)
+        pool = _mix(pool, _hashmix(word, *next(steps)))
+    (expand,) = _hash_constants(_SS_INIT_B, _SS_MULT_B, (2 * _SS_POOL,))
+    state = _hashmix(np.tile(pool, (2, 1)), *expand).astype(np.uint64)
     s_hi, s_lo, i_hi, i_lo = state[1::2] << _SHIFT32 | state[0::2]
 
     # PCG64 seeding sets inc = 2*initseq + 1 and x = inc + initstate, then

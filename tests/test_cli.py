@@ -309,6 +309,20 @@ def test_bad_config_file_exits_two_with_one_line(tmp_path, capsys):
     assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc", [
+    "n: true\n",
+    "n: 4\ncolors: [true, true, 2, 2]\n",
+    "n: 4\nfaulty: [true]\n",
+], ids=["n", "colors", "faulty"])
+def test_config_file_booleans_exit_two_with_one_line(doc, tmp_path, capsys):
+    # YAML reads `true` as a bool, which is no agent id, colour or count
+    cfg = tmp_path / "bools.yaml"
+    cfg.write_text(doc)
+    assert main(["run", "--config", str(cfg), "--seed", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
 def test_no_subcommand_is_usage_error():
     assert main([]) == 2
 

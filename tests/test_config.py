@@ -161,6 +161,17 @@ def test_calibration_from_document():
     {"n": 8, "coalition": {"members": [1], "strategy": "coherence_silence",
                            "options": {"victims": "abc"}}},
     {"n": 8, "calibration": {"beta1": float("nan")}},
+    # a YAML boolean is no agent id, colour, count or number
+    {"n": True},
+    {"n": 4, "colors": [True, True, 2, 2]},
+    {"n": 8, "faulty": [True]},
+    {"n": 8, "trials": True},
+    {"n": 8, "seed": True},
+    {"n": 8, "gamma": True},
+    {"n": 8, "sizes": [True, 8]},
+    {"n": 8, "colors": "8x1", "num_colors": True},
+    {"n": 8, "coalition": {"members": [True]}},
+    {"n": 8, "faulty": {"random": True}},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):

@@ -367,6 +367,10 @@ def test_validate_config_rejections():
         SimConfig(n=4, gamma=1.0, colors=(1, 1, 2, 2),
                   faulty=frozenset({1, 2}),
                   coalition=CoalitionConfig(members=(3, 4))),  # nobody honest
+        SimConfig(n=4, gamma=1.0, colors=(True, 1, 2, 2)),     # bools
+        SimConfig(n=4, gamma=1.0, colors=(1, 1, 2, 2), faulty=frozenset({True})),
+        SimConfig(n=4, gamma=1.0, colors=(1, 1, 2, 2),
+                  coalition=CoalitionConfig(members=(True,))),
     ]
     for config in bad:
         with pytest.raises(ConfigError):

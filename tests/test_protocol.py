@@ -55,6 +55,9 @@ def test_derive_params_rejects_bad_input():
         derive_params(8, 1.0, chi=float("inf"))
     with pytest.raises(ConfigError):
         derive_params(8, 1.0, num_colors=0)
+    for bad in [(True, 1.0), (8, True), (8, 1.0, True), (8, 1.0, 1.0, True)]:
+        with pytest.raises(ConfigError):
+            derive_params(*bad)
 
 
 def test_vote_sum_frozen():
