@@ -135,6 +135,15 @@ class DeviationStrategy:
         return default
 
 
+def _switch(ctx: AdversaryContext, key: str) -> bool:
+    """An on/off option, off when absent. Only a YAML boolean sets it: any
+    other value would switch the deviation on without meaning to."""
+    value = ctx.options.get(key, False)
+    if type(value) is not bool:
+        raise ConfigError(f"{key}: expected true or false, got {value!r}")
+    return value
+
+
 STRATEGIES: dict[str, type[DeviationStrategy]] = {}
 
 
@@ -198,8 +207,8 @@ class CommitmentMismatch(DeviationStrategy):
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.retarget = bool(ctx.options.get("retarget", False))
-        self.equivocate = bool(ctx.options.get("equivocate", False))
+        self.retarget = _switch(ctx, "retarget")
+        self.equivocate = _switch(ctx, "equivocate")
         self._fakes: dict = {}
 
     def _fake_declaration(self, view) -> tuple:
@@ -235,7 +244,7 @@ class FakeFaulty(DeviationStrategy):
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.silent_voting = bool(ctx.options.get("silent_voting", False))
+        self.silent_voting = _switch(ctx, "silent_voting")
 
     def choose_commit_target(self, view, round_index, default):
         return None

@@ -130,9 +130,12 @@ class FairnessReport:
             return 0.0
         return self.wins_by_color[color] / self.t_success
 
-    def z_score(self, color: int) -> float:
+    def z_score(self, color: int) -> Optional[float]:
+        """None when no trial decided: there is no frequency to test."""
+        if self.t_success == 0:
+            return None
         p = self.active_share[color]
-        se = math.sqrt(p * (1 - p) / self.t_success) if self.t_success else 0.0
+        se = math.sqrt(p * (1 - p) / self.t_success)
         dev = self.frequency(color) - p
         if se == 0.0:
             return 0.0 if dev == 0.0 else math.copysign(math.inf, dev)

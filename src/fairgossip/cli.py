@@ -199,15 +199,17 @@ def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
 
 def _fold(experiment: Callable, workers: int, sim: SimConfig,
           exp: ExperimentConfig, **options: Any):
-    """`experiment(sim, count, seed0, ...)` over the trial chunks, in a
-    pool of `workers` processes when there are several, merged in seed
-    order with the parts' `.merge`."""
+    """`experiment(sim, count, seed0, ...)` over at most `workers` trial
+    chunks, no more than there are trials or CPUs, in a pool of one
+    process per chunk when there are several, merged in seed order with
+    the parts' `.merge`."""
     run = partial(experiment, sim, calibration=exp.calibration, **options)
-    chunks = _chunks(exp.trials, workers)
+    chunks = _chunks(exp.trials, min(workers, os.cpu_count() or 1))
     counts = [count for _, count in chunks]
     seeds = [exp.seed + offset for offset, _ in chunks]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if len(chunks) > 1:
+        # a forked pool starts all its processes up front
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             report, *parts = pool.map(run, counts, seeds)
     else:
         report, *parts = map(run, counts, seeds)
@@ -340,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("jsonl", "csv"),
                         default="jsonl")
     common.add_argument("--parallel", type=int, default=1,
-                        help="worker bound for trial loops")
+                        help="worker bound for trial loops, capped at "
+                             "the trial and CPU counts")
 
     p_run = sub.add_parser("run", parents=[common],
                            help="one trial, exported as a line log")

@@ -42,7 +42,6 @@ from fairgossip.protocol import (
     record_commitment,
     valid_intention,
     verify_certificate,
-    vote_sum,
 )
 
 PHASE_COMMITMENT = "commitment"
@@ -243,18 +242,13 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # Per-agent randomness: one value block then one target block per agent,
     # consumed in phase order. Faulty agents draw too — draws are a function
     # of (seed, id) alone, so the fault set never shifts anyone's stream.
+    # Row j of `columns` holds every active agent's j-th drawn target: q
+    # vote targets, then q for each of commitment, find-min and coherence.
     drawn_values, drawn_targets = draw_agents(seed, params)
-    all_values, all_targets = drawn_values.tolist(), drawn_targets.tolist()
-    intentions: list = [None] * (n + 1)
-    commit_tg: list = [None] * (n + 1)
-    findmin_tg: list = [None] * (n + 1)
-    coherence_tg: list = [None] * (n + 1)
-    for u in range(1, n + 1):
-        targets = all_targets[u]
-        intentions[u] = tuple(zip(all_values[u], targets[:q]))
-        commit_tg[u] = targets[q:2 * q]
-        findmin_tg[u] = targets[2 * q:3 * q]
-        coherence_tg[u] = targets[3 * q:]
+    intentions: list = [
+        tuple(zip(values, targets)) for values, targets in
+        zip(drawn_values.tolist(), drawn_targets[:, :q].tolist())]
+    columns = drawn_targets[active].T.tolist()
 
     chosen: list = list(intentions)  # what each agent actually casts
 
@@ -283,8 +277,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     b_reply = intention_reply_bits(params, widths)
     b_vote = vote_push_bits(widths)
     messages: Optional[list] = [] if record else None
-    phase_msgs = {p: 0 for p in PHASES}
-    phase_bits = {p: 0 for p in PHASES}
+    by_phase: list = []     # (phase, messages, bits), appended as each ends
     rounds_run = 0
 
     # --- commitment: q rounds of pulling vote declarations ---------------
@@ -298,18 +291,14 @@ def run_trial(config: SimConfig, *, record: bool = True,
 
     n_msgs = 0
     n_bits = 0
-    for rnd in range(1, q + 1):
+    for rnd, col in enumerate(columns[q:2 * q], 1):
         rounds_run += 1
-        for u in active:
+        for u, t in zip(active, col):
             if u in member_set:
-                t = strategy.choose_commit_target(views[u], rnd,
-                                                  commit_tg[u][rnd - 1])
+                t = strategy.choose_commit_target(views[u], rnd, t)
                 if t is None:
                     continue
-                if not isinstance(t, int) or not 1 <= t <= n:
-                    raise StrategyError(f"member {u}: bad pull target {t!r}")
-            else:
-                t = commit_tg[u][rnd - 1]
+                _check_target(u, t, n)
             if t != u:
                 n_msgs += 1
                 n_bits += b_pull
@@ -320,19 +309,16 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 ledgers[u].declarations[t] = None
             elif t in member_set:
                 reply = strategy.reply_to_pull(views[t], u, rnd, chosen[t])
+                filed = record_commitment(ledgers[u], t, reply, params)
                 if t not in first_declarations and u not in member_set:
                     # the first declaration an honest agent pins down
-                    ok = reply is not None and valid_intention(reply, params)
-                    first_declarations[t] = (
-                        tuple((int(v), int(g)) for v, g in reply) if ok
-                        else None)
+                    first_declarations[t] = filed
                 if reply is not None and t != u:
                     n_msgs += 1
                     n_bits += b_reply
                     if messages is not None:
                         messages.append((PHASE_COMMITMENT, rnd, t, u,
                                          "intention_reply", b_reply))
-                record_commitment(ledgers[u], t, reply, params)
             else:
                 # honest declarations are engine-built and already canonical
                 if t != u:
@@ -344,8 +330,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 ledgers[u].declarations[t] = intentions[t]
             if u in member_set and t != u:
                 coalition_pulled.add(t)
-    phase_msgs[PHASE_COMMITMENT] = n_msgs
-    phase_bits[PHASE_COMMITMENT] = n_bits
+    by_phase.append((PHASE_COMMITMENT, n_msgs, n_bits))
 
     # --- voting: q rounds of pushing vote values --------------------------
     tallies: list = [None] * (n + 1)
@@ -384,33 +369,27 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 votes_log.append((rnd, u, target, value))
             if target not in faulty:
                 tallies[target].append((value, u, rnd))
-    phase_msgs[PHASE_VOTING] = n_msgs
-    phase_bits[PHASE_VOTING] = n_bits
+    by_phase.append((PHASE_VOTING, n_msgs, n_bits))
 
     tickets: dict[int, int] = {}
     tally_sizes: dict[int, int] = {}
     ce_min: list = [None] * (n + 1)
     ce_bits: list = [0] * (n + 1)     # certificate_bits(ce_min[u], widths)
     for u in active:
-        tickets[u] = vote_sum(tallies[u], m)
-        tally_sizes[u] = len(tallies[u])
         cert = make_certificate(tallies[u], colors[u - 1], u, m)
+        tickets[u] = cert.ticket
+        tally_sizes[u] = len(tallies[u])
         if u in member_set:
             view = views[u]
             view.own_cert = cert
-            declared = strategy.declare_certificate(view, cert)
-            flaw = certificate_flaw(declared, params)
-            if flaw:
-                raise StrategyError(f"member {u}: {flaw}")
-            if declared.owner != u:
+            cert = strategy.declare_certificate(view, cert)
+            _check_cert(u, cert, params)
+            if cert.owner != u:
                 raise StrategyError(f"member {u}: declared certificate "
-                                    f"owned by {declared.owner}")
-            view.declared_cert = declared
-            cert = declared
+                                    f"owned by {cert.owner}")
+            view.declared_cert = view.ce_min = cert
         ce_min[u] = cert
         ce_bits[u] = certificate_bits(cert, widths)
-        if u in member_set:
-            views[u].ce_min = cert
 
     # --- find-min: q rounds of pulling the smallest certificate ----------
     # Pulls within a round are serialized in agent order; a reply carries
@@ -418,18 +397,14 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # the minimum several hops in one round.
     n_msgs = 0
     n_bits = 0
-    for rnd in range(1, q + 1):
+    for rnd, col in enumerate(columns[2 * q:3 * q], 1):
         rounds_run += 1
-        for u in active:
+        for u, t in zip(active, col):
             if u in member_set:
-                t = strategy.choose_findmin_target(views[u], rnd,
-                                                   findmin_tg[u][rnd - 1])
+                t = strategy.choose_findmin_target(views[u], rnd, t)
                 if t is None:
                     continue
-                if not isinstance(t, int) or not 1 <= t <= n:
-                    raise StrategyError(f"member {u}: bad pull target {t!r}")
-            else:
-                t = findmin_tg[u][rnd - 1]
+                _check_target(u, t, n)
             if t != u:
                 n_msgs += 1
                 n_bits += b_pull
@@ -441,9 +416,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
             elif t in member_set:
                 reply = strategy.findmin_reply(views[t], u, rnd, ce_min[t])
                 if reply is not None:
-                    flaw = certificate_flaw(reply, params)
-                    if flaw:
-                        raise StrategyError(f"member {t}: {flaw}")
+                    _check_cert(t, reply, params)
                     bits = certificate_bits(reply, widths)
             else:
                 reply = ce_min[t]
@@ -462,34 +435,28 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 ce_bits[u] = bits
                 if u in member_set:
                     views[u].ce_min = folded
-    phase_msgs[PHASE_FIND_MIN] = n_msgs
-    phase_bits[PHASE_FIND_MIN] = n_bits
+    by_phase.append((PHASE_FIND_MIN, n_msgs, n_bits))
 
     # --- coherence: q rounds of pushing; a conflicting certificate is fatal
     failures: dict[int, int] = {}
     n_msgs = 0
     n_bits = 0
-    for rnd in range(1, q + 1):
+    for rnd, col in enumerate(columns[3 * q:], 1):
         rounds_run += 1
         inbox: list = []
-        for u in active:
+        for u, target in zip(active, col):
             if u in member_set:
                 default = None if u in failures else ce_min[u]
-                cert = strategy.coherence_push(views[u], rnd,
-                                               coherence_tg[u][rnd - 1],
-                                               default)
+                cert = strategy.coherence_push(views[u], rnd, target, default)
                 if cert is None:
                     continue
-                flaw = certificate_flaw(cert, params)
-                if flaw:
-                    raise StrategyError(f"member {u}: {flaw}")
+                _check_cert(u, cert, params)
                 bits = certificate_bits(cert, widths)
             else:
                 if u in failures:
                     continue  # failed agents go quiet
                 cert = ce_min[u]
                 bits = ce_bits[u]
-            target = coherence_tg[u][rnd - 1]
             if target != u:
                 n_msgs += 1
                 n_bits += bits
@@ -506,8 +473,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 failures[target] = rnd
                 if target in member_set:
                     views[target].failed = True
-    phase_msgs[PHASE_COHERENCE] = n_msgs
-    phase_bits[PHASE_COHERENCE] = n_bits
+    by_phase.append((PHASE_COHERENCE, n_msgs, n_bits))
 
     # --- verification: accept the winner or abort -------------------------
     decisions: dict[int, Optional[int]] = {}
@@ -552,12 +518,11 @@ def run_trial(config: SimConfig, *, record: bool = True,
                     minlength=n + 1)[None],
         [[tickets[u] for u in honest]], [converged], [failed])
 
-    by_phase = tuple((p, phase_msgs[p], phase_bits[p]) for p in PHASES)
     stats = MessageStats(
-        messages=sum(phase_msgs.values()),
-        bits=sum(phase_bits.values()),
+        messages=sum(msgs for _, msgs, _ in by_phase),
+        bits=sum(bits for _, _, bits in by_phase),
         rounds=rounds_run,
-        by_phase=by_phase)
+        by_phase=tuple(by_phase))
 
     return Trace(
         config=config,
@@ -580,6 +545,19 @@ def run_trial(config: SimConfig, *, record: bool = True,
         votes=votes_log,
         messages=messages,
     )
+
+
+def _check_target(u: int, t: object, n: int) -> None:
+    """Member ``u``'s commitment or find-min pull must name an agent."""
+    if not isinstance(t, int) or not 1 <= t <= n:
+        raise StrategyError(f"member {u}: bad pull target {t!r}")
+
+
+def _check_cert(u: int, cert: object, params: Params) -> None:
+    """A certificate member ``u`` sends must fit the wire format."""
+    flaw = certificate_flaw(cert, params)
+    if flaw:
+        raise StrategyError(f"member {u}: {flaw}")
 
 
 def _classify(params, calibration, active, sizes, pulls, votes, tickets,
@@ -696,9 +674,9 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int],
             failed = False
             if not converged:
                 own = np.array(owner)
-                coherence_tg = targets[i, :, 3 * q:]
-                failed = bool(((own[coherence_tg] != own[act][:, None])
-                               & live[coherence_tg]).any())
+                pushed_to = targets[i, :, 3 * q:]
+                failed = bool(((own[pushed_to] != own[act][:, None])
+                               & live[pushed_to]).any())
             color = colors[head - 1]
             if failed:
                 winner = outcome = None

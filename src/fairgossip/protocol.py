@@ -390,16 +390,18 @@ _UNSEEN = object()
 
 
 def record_commitment(ledger: Ledger, voter: AgentId, reply: object,
-                      params: Params) -> None:
-    """File a pull answer: a declared vote list, or a no-reply mark.
+                      params: Params) -> Optional[tuple]:
+    """File a pull answer, a declared vote list or a no-reply mark, and
+    return what was filed: the canonical tuple of pairs, or None.
 
     A missing or malformed reply is indistinguishable from silence to the
     puller, so both record the mark.
     """
+    filed = None
     if reply is not None and valid_intention(reply, params):
-        ledger.declarations[voter] = tuple((int(v), int(t)) for v, t in reply)
-    else:
-        ledger.declarations[voter] = None
+        filed = tuple((int(v), int(t)) for v, t in reply)
+    ledger.declarations[voter] = filed
+    return filed
 
 
 def vote_sum(votes: Iterable[Sequence[int]], modulus: int) -> int:

@@ -154,13 +154,21 @@ def test_fairness_fail_exit_code(tmp_path):
                  "--out", str(tmp_path / "f.jsonl")]) == 1
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_indeterminate_verdict_exits_one(tmp_path, capsys):
     # the only trial aborts, so no colour has a win frequency to test:
     # exit code 1 means "did not pass", indeterminate as well as FAIL
+    out = tmp_path / "f.jsonl"
     assert main(["fairness", "--n", "3", "--trials", "1", "--gamma", "0.5",
-                 "--out", str(tmp_path / "f.jsonl")]) == 1
+                 "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
         "fairness verdict: indeterminate")
+    *colors, _ = [json.loads(line, parse_constant=_no_constant)
+                  for line in out.read_text().splitlines()]
+    assert [row["z"] for row in colors] == [None, None]
 
 
 def test_fairness_csv_table(tmp_path):
@@ -182,6 +190,35 @@ def test_fairness_parallel_matches_serial(tmp_path, argv):
     serial, par = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
     assert main(argv + ["--out", str(serial)]) == 0
     assert main(argv + ["--parallel", "3", "--out", str(par)]) == 0
+    assert serial.read_bytes() == par.read_bytes()
+
+
+@pytest.mark.parametrize("cpus,pools", [(64, [3]), (2, [2]), (None, [])])
+def test_parallel_is_capped_at_trials_and_cpus(tmp_path, monkeypatch,
+                                               cpus, pools):
+    # the fake pool records its size and runs the chunks in this process
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("fairgossip.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    argv = ["fairness", "--n", "8", "--colors", "4x1,4x2", "--trials", "3"]
+    serial, par = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
+    assert main(argv + ["--out", str(serial)]) == 0
+    assert main(argv + ["--parallel", "64", "--out", str(par)]) == 0
+    assert asked == pools
     assert serial.read_bytes() == par.read_bytes()
 
 
@@ -290,6 +327,14 @@ def test_write_failure_reports_path(tmp_path, capsys):
     *(["attack", "--n", "8", "--trials", "2", "--coalition", "1",
        "--strategy", "coherence_silence", "--option", f"victims={victims}"]
       for victims in ("abc", "5", "[1.5]")),
+    *(["attack", "--n", "8", "--trials", "2", "--coalition", "1",
+       "--strategy", strategy, "--option", option]
+      for strategy, option in [
+          ("commitment_mismatch", "equivocate=abc"),
+          ("commitment_mismatch", "retarget=1"),
+          ("fake_faulty", "silent_voting=[1]"),
+          ("fake_faulty", "silent_voting=null"),
+      ]),
     ["scaling", "--sizes", "8", "--trials", "1", "--coalition", "1",
      "--strategy", "k_underbid"],
     ["scaling", "--sizes", "8", "--trials", "1", "--faulty", "2,3"],

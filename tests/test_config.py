@@ -172,6 +172,9 @@ def test_calibration_from_document():
     {"n": 8, "colors": "8x1", "num_colors": True},
     {"n": 8, "coalition": {"members": [True]}},
     {"n": 8, "faulty": {"random": True}},
+    # an on/off option takes a YAML boolean, not a string that reads as one
+    {"n": 8, "coalition": {"members": [1], "strategy": "commitment_mismatch",
+                           "options": {"equivocate": "false"}}},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):

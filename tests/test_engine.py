@@ -1,6 +1,7 @@
 """Simulator tests: determinism, phase mechanics, message accounting,
 execution classification, and config validation."""
 
+import re
 import warnings
 
 import pytest
@@ -420,16 +421,43 @@ class _BadVote(DeviationStrategy):
         return (self.ctx.params.modulus + 5, 1)
 
 
+@register
+class _BadHook(DeviationStrategy):
+    """Answers the hook named by option ``hook`` with option ``value``."""
+
+    name = "_test_bad_hook"
+    option_keys = frozenset({"hook", "value"})
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        setattr(self, ctx.options["hook"], lambda *_: ctx.options["value"])
+
+
+# (strategy, options, message after "member 2: ") for each wire check
+BOUNDARY_CASES = [
+    ("_test_bad_cert", {}, "declared certificate owned by 3"),
+    ("_test_bad_vote", {}, "bad vote (69, 1)"),
+    *(("_test_bad_hook", {"hook": hook, "value": value}, message)
+      for hook, value, message in [
+          ("choose_intention", "junk", "invalid intention 'junk'"),
+          ("choose_commit_target", 0, "bad pull target 0"),
+          ("choose_findmin_target", 5, "bad pull target 5"),
+          ("declare_certificate", "junk", "not a certificate"),
+          ("findmin_reply", "junk", "not a certificate"),
+          ("coherence_push", "junk", "not a certificate"),
+          ("final_decision", 3, "bad decision 3"),
+      ]),
+]
+
+
 def test_strategy_boundary_violations_raise():
     base = dict(n=4, gamma=1.0, colors=(1, 1, 2, 2), master_seed=2)
-    with pytest.raises(StrategyError):
-        run_trial(SimConfig(**base,
-                            coalition=CoalitionConfig(members=(2,),
-                                                      strategy="_test_bad_cert")))
-    with pytest.raises(StrategyError):
-        run_trial(SimConfig(**base,
-                            coalition=CoalitionConfig(members=(2,),
-                                                      strategy="_test_bad_vote")))
+    for strategy, options, message in BOUNDARY_CASES:
+        coalition = CoalitionConfig(members=(2,), strategy=strategy,
+                                    options=options)
+        with pytest.raises(StrategyError,
+                           match=rf"^member 2: {re.escape(message)}$"):
+            run_trial(SimConfig(**base, coalition=coalition))
 
 
 def test_trace_dict_is_plain_data():

@@ -9,16 +9,21 @@ coalition; each ``kernel-*`` group is ``run_honest_trials`` over 300
 seeds. Every flag goes both ways in the ``plain`` group, aborts and
 undetected splits included.
 
+``CLI_DIGESTS`` holds one digest per command line of ``fairgossip``, over
+its exit code, stdout, stderr and the bytes it writes to ``--out``.
+
 A change that is meant to move output re-freezes the digests in the same
 change and says why: ROADMAP item 1 (synchronous find-min rounds) is the
 next one that will.
 """
 
 import hashlib
+import shlex
 import warnings
 
 import pytest
 
+from fairgossip.cli import main
 from fairgossip.engine import (
     Calibration,
     CoalitionConfig,
@@ -116,3 +121,72 @@ def digest(lines) -> str:
 @pytest.mark.parametrize("group", sorted(DIGESTS))
 def test_golden_digest(group):
     assert digest(group_lines(group)) == DIGESTS[group]
+
+
+# Each line runs with ``--out`` appended; n <= 64 and at most 40 trials,
+# except the n=256 trace, keep the whole set to seconds.
+CLI_DIGESTS = {
+    "run --n 8 --gamma 2 --seed 1":
+        "314ed95411aabf37802d3ef4f5d73e4a7bd9c5ffb08d01992bc280cd3336549c",
+    "run --n 16 --gamma 1.5 --faulty 2,5 --coalition 3 "
+    "--strategy coherence_silence --seed 4":
+        "707a82d3d8efd2975421ecbbcbe78d10f6d0ab49fff638a1e7c3ec47c2549a24",
+    "run --n 256 --gamma 2 --seed 3":
+        "c614d1d00866efa7055dc2b5797bc5acd3719223bd1f4605d20ce8891d3787b6",
+    "run --n 32 --gamma 2 --colors 16x1,16x2 --seed 4294967299":
+        "aba2181b3c6abafc3815e85a993e10a79bfe8839e5a6160b69ed90a642c242c3",
+    "run --n 16 --gamma 1.5 --faulty random:3 --seed 9 --format csv":
+        "4e06d1f27deb8ba20f2e3754d99f2acbbbf4ad42adf133011359a56eba5d0930",
+    "fairness --n 32 --colors 16x1,16x2 --gamma 2 --faulty 3,7,20 "
+    "--trials 40":
+        "9a3b9ef81a4111bce5873d88ad3e1236b8b50d5e511e693c6dc32427a2aaf8d6",
+    "fairness --n 16 --gamma 2 --beta1 0.5 --beta2 2.5 --trials 40":
+        "662ca39b08401b39034e66f7d5a111ccbbf3b752779b4878433e7d5f26a1f635",
+    "fairness --n 16 --gamma 2 --coalition 1,5 --strategy fake_faulty "
+    "--trials 30":
+        "0eca5e0e53c7d9f52be85f52ffcc64bef163ab8a90029a39fa5a823f2cfd2aa4",
+    "fairness --n 16 --colors 8x1,8x2 --trials 40 --parallel 2":
+        "94b519b9ed5101ad67419152c042f17f655a93f8477cf39a33b17e22cad2090b",
+    # no trial decides: each colour row reads "z": null
+    "fairness --n 3 --trials 1 --gamma 0.5":
+        "d84d7eb5620a57c0fea251f31407031451d18fbe236c9eec9317424426547374",
+    "fairness --n 16 --gamma 2 --trials 20 --format csv":
+        "49e13d2bc0ff65a2a664475d13b8707810efe3d51547ed3188c43c4c1b674292",
+    "attack --n 16 --gamma 2 --coalition 5 --strategy k_underbid "
+    "--trials 10":
+        "695c88c337ff03eeae0cac87ef14720bb530b4505f126a4e18acfb417e4fcba3",
+    "attack --n 16 --gamma 2 --coalition 5 --strategy commitment_mismatch "
+    "--option equivocate=true --trials 10":
+        "407a1b6c2dc7f4944cbc984e4be8d0c4f52db311b0b3deec2fe75952bfa809f1",
+    "attack --n 16 --gamma 2 --coalition 5 --strategy fake_faulty "
+    "--trials 10":
+        "ab57d351f87850c31006d824d3c6ffe114a4cd46eea5db6943475158185bdef3",
+    "attack --n 16 --gamma 2 --coalition 2,5 --strategy coherence_silence "
+    "--option victims=[1,3,4] --trials 10":
+        "8b39daa38493acb0c35aea68118a233e5567732cdfea2b73d10e00271f10a27e",
+    "claims --n 16 --gamma 2 --coalition 1,5 --trials 30":
+        "cc0c65c83fe20942abf7974905056528a356c1e10807758e5f564e9a5e26267d",
+    "claims --n 32 --gamma 3 --colors 16x1,16x2 --coalition 1,17 "
+    "--strategy k_underbid --trials 20":
+        "3f52d905d2cd100a8ef98a1da572bd73e48b66f95674886a5b928bb36ed26ba6",
+    "scaling --sizes 8,16,32 --trials 3":
+        "467e883e78119cffcf2c4f585354c6eecc4806e90e4fe46c98dbf3720a105abf",
+}
+
+
+def cli_digest(line: str, out, capsys) -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(shlex.split(line) + ["--out", str(out)])
+    captured = capsys.readouterr()
+    h = hashlib.sha256()
+    for part in (str(code), captured.out, captured.err):
+        h.update(part.encode())
+        h.update(b"\0")
+    h.update(out.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("line", sorted(CLI_DIGESTS))
+def test_cli_digest(line, tmp_path, capsys):
+    assert cli_digest(line, tmp_path / "out", capsys) == CLI_DIGESTS[line]
