@@ -11,7 +11,9 @@ Hooks may return None where silence / inaction is meaningful (skipping a
 pull, not replying, withholding a vote or push). The engine validates hook
 results against the wire format and raises StrategyError on anything no
 protocol message could carry; strategies deviate within the transport, they
-do not get a side channel.
+do not get a side channel. A result that is the default object itself (not
+an equal copy) is taken as is: the engine built or already checked it, and
+it is immutable.
 """
 
 from __future__ import annotations

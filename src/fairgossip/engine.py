@@ -309,7 +309,11 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 ledgers[u].declarations[t] = None
             elif t in member_set:
                 reply = strategy.reply_to_pull(views[t], u, rnd, chosen[t])
-                filed = record_commitment(ledgers[u], t, reply, params)
+                if reply is chosen[t]:
+                    # chosen intentions are canonical tuples already
+                    ledgers[u].declarations[t] = filed = reply
+                else:
+                    filed = record_commitment(ledgers[u], t, reply, params)
                 if t not in first_declarations and u not in member_set:
                     # the first declaration an honest agent pins down
                     first_declarations[t] = filed
@@ -353,8 +357,8 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 if not isinstance(vote, (tuple, list)) or len(vote) != 2:
                     raise StrategyError(f"member {u}: bad vote {vote!r}")
                 value, target = vote
-                if (not isinstance(value, int) or not 0 <= value <= m
-                        or not isinstance(target, int)
+                if (type(value) is not int or not 0 <= value <= m
+                        or type(target) is not int
                         or not 1 <= target <= n):
                     raise StrategyError(f"member {u}: bad vote {vote!r}")
             else:
@@ -382,11 +386,13 @@ def run_trial(config: SimConfig, *, record: bool = True,
         if u in member_set:
             view = views[u]
             view.own_cert = cert
-            cert = strategy.declare_certificate(view, cert)
-            _check_cert(u, cert, params)
-            if cert.owner != u:
-                raise StrategyError(f"member {u}: declared certificate "
-                                    f"owned by {cert.owner}")
+            declared = strategy.declare_certificate(view, cert)
+            if declared is not cert:
+                _check_cert(u, declared, params)
+                if declared.owner != u:
+                    raise StrategyError(f"member {u}: declared certificate "
+                                        f"owned by {declared.owner}")
+                cert = declared
             view.declared_cert = view.ce_min = cert
         ce_min[u] = cert
         ce_bits[u] = certificate_bits(cert, widths)
@@ -415,7 +421,10 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 reply = None
             elif t in member_set:
                 reply = strategy.findmin_reply(views[t], u, rnd, ce_min[t])
-                if reply is not None:
+                if reply is ce_min[t]:
+                    # every ce_min was built here or passed _check_cert
+                    bits = ce_bits[t]
+                elif reply is not None:
                     _check_cert(t, reply, params)
                     bits = certificate_bits(reply, widths)
             else:
@@ -450,8 +459,11 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 cert = strategy.coherence_push(views[u], rnd, target, default)
                 if cert is None:
                     continue
-                _check_cert(u, cert, params)
-                bits = certificate_bits(cert, widths)
+                if cert is ce_min[u]:
+                    bits = ce_bits[u]
+                else:
+                    _check_cert(u, cert, params)
+                    bits = certificate_bits(cert, widths)
             else:
                 if u in failures:
                     continue  # failed agents go quiet
@@ -485,7 +497,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
             default = res.color if res.accepted else None
         if u in member_set:
             pick = strategy.final_decision(views[u], default)
-            if pick is not None and (not isinstance(pick, int)
+            if pick is not None and (type(pick) is not int
                                      or not 1 <= pick <= params.num_colors):
                 raise StrategyError(f"member {u}: bad decision {pick!r}")
             decisions[u] = pick
@@ -549,7 +561,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
 
 def _check_target(u: int, t: object, n: int) -> None:
     """Member ``u``'s commitment or find-min pull must name an agent."""
-    if not isinstance(t, int) or not 1 <= t <= n:
+    if type(t) is not int or not 1 <= t <= n:
         raise StrategyError(f"member {u}: bad pull target {t!r}")
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -359,9 +360,9 @@ def valid_intention(decl: object, params: Params) -> bool:
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             return False
         value, target = pair
-        if not isinstance(value, int) or not 0 <= value <= m:
+        if type(value) is not int or not 0 <= value <= m:
             return False
-        if not isinstance(target, int) or not 1 <= target <= n:
+        if type(target) is not int or not 1 <= target <= n:
             return False
     return True
 
@@ -406,7 +407,7 @@ def record_commitment(ledger: Ledger, voter: AgentId, reply: object,
 
 def vote_sum(votes: Iterable[Sequence[int]], modulus: int) -> int:
     """Sum of vote values mod modulus. An empty tally sums to 0."""
-    return sum(v[0] for v in votes) % modulus
+    return sum(map(itemgetter(0), votes)) % modulus
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,14 +426,13 @@ class Certificate:
     owner: AgentId
 
 
-def _vote_order(entry: Sequence[int]) -> tuple[int, int]:
-    return (entry[1], entry[2])
+_vote_order = itemgetter(1, 2)   # (sender, round_index)
 
 
 def make_certificate(tally: Iterable[Sequence[int]], color: Color,
                      owner: AgentId, modulus: int) -> Certificate:
     """Build an honest certificate from a received-vote tally."""
-    votes = tuple(sorted((tuple(v) for v in tally), key=_vote_order))
+    votes = tuple(sorted(map(tuple, tally), key=_vote_order))
     return Certificate(vote_sum(votes, modulus), votes, color, owner)
 
 
@@ -445,11 +445,11 @@ def certificate_flaw(cert: object, params: Params) -> Optional[str]:
     """
     if not isinstance(cert, Certificate):
         return "not a certificate"
-    if not isinstance(cert.ticket, int) or not 0 <= cert.ticket < params.modulus:
+    if type(cert.ticket) is not int or not 0 <= cert.ticket < params.modulus:
         return "ticket out of range"
-    if not isinstance(cert.color, int) or not 1 <= cert.color <= params.num_colors:
+    if type(cert.color) is not int or not 1 <= cert.color <= params.num_colors:
         return "color out of range"
-    if not isinstance(cert.owner, int) or not 1 <= cert.owner <= params.n:
+    if type(cert.owner) is not int or not 1 <= cert.owner <= params.n:
         return "owner out of range"
     if not isinstance(cert.votes, tuple):
         return "votes not a tuple"
@@ -458,11 +458,11 @@ def certificate_flaw(cert: object, params: Params) -> Optional[str]:
         if not isinstance(entry, tuple) or len(entry) != 3:
             return "malformed vote entry"
         value, sender, rnd = entry
-        if not isinstance(value, int) or not 0 <= value <= params.modulus:
+        if type(value) is not int or not 0 <= value <= params.modulus:
             return "vote value out of range"
-        if not isinstance(sender, int) or not 1 <= sender <= params.n:
+        if type(sender) is not int or not 1 <= sender <= params.n:
             return "vote sender out of range"
-        if not isinstance(rnd, int) or not 1 <= rnd <= params.phase_rounds:
+        if type(rnd) is not int or not 1 <= rnd <= params.phase_rounds:
             return "vote round out of range"
         slot = (sender, rnd)
         if slot in seen:

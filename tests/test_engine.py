@@ -3,11 +3,14 @@ execution classification, and config validation."""
 
 import re
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairgossip import engine
 from fairgossip.adversary import DeviationStrategy, StrategyError, register
 from fairgossip.engine import (
     Calibration,
@@ -446,6 +449,20 @@ BOUNDARY_CASES = [
           ("findmin_reply", "junk", "not a certificate"),
           ("coherence_push", "junk", "not a certificate"),
           ("final_decision", 3, "bad decision 3"),
+          # a bool is an int to isinstance, but no wire field carries one
+          ("choose_intention", ((True, 1), (1, 1)),
+           "invalid intention ((True, 1), (1, 1))"),
+          ("choose_commit_target", True, "bad pull target True"),
+          ("choose_vote", (True, 1), "bad vote (True, 1)"),
+          ("choose_vote", (1, True), "bad vote (1, True)"),
+          ("choose_findmin_target", True, "bad pull target True"),
+          ("declare_certificate", Certificate(0, (), True, 2),
+           "color out of range"),
+          ("findmin_reply", Certificate(False, (), 1, 2),
+           "ticket out of range"),
+          ("coherence_push", Certificate(0, ((1, True, 1),), 1, 2),
+           "vote sender out of range"),
+          ("final_decision", True, "bad decision True"),
       ]),
 ]
 
@@ -458,6 +475,75 @@ def test_strategy_boundary_violations_raise():
         with pytest.raises(StrategyError,
                            match=rf"^member 2: {re.escape(message)}$"):
             run_trial(SimConfig(**base, coalition=coalition))
+
+
+@register
+class _Copies(DeviationStrategy):
+    """Honest, but every default comes back as an equal, distinct copy."""
+
+    name = "_test_copies"
+
+    def choose_intention(self, view, default):
+        return tuple(list(default))
+
+    def reply_to_pull(self, view, requester, round_index, default):
+        return tuple(list(default))
+
+    def choose_vote(self, view, round_index, default):
+        return tuple(list(default))
+
+    def declare_certificate(self, view, default):
+        return replace(default)
+
+    def findmin_reply(self, view, requester, round_index, default):
+        return replace(default)
+
+    def coherence_push(self, view, round_index, target, default):
+        return None if default is None else replace(default)
+
+
+@pytest.fixture
+def wire_checks(monkeypatch):
+    """Counts run_trial's calls of its member certificate and reply checks."""
+    calls = Counter()
+    for name in ("certificate_flaw", "record_commitment"):
+        def counted(*args, _check=getattr(engine, name), _name=name):
+            calls[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def test_default_hook_results_are_not_rechecked(wire_checks):
+    config = SimConfig(n=64, gamma=4.0, colors=HALF64,
+                       coalition=CoalitionConfig(members=(1, 2, 33, 34)))
+    for seed in range(3):
+        run_trial(replace(config, master_seed=seed), record=False)
+    assert wire_checks == {}
+    # each doctored certificate is checked once, when it is declared; its
+    # owner serves it from then on as its default
+    run_trial(replace(config, coalition=replace(config.coalition,
+                                                strategy="k_underbid")),
+              record=False)
+    assert wire_checks == {"certificate_flaw": 4}
+
+
+@pytest.mark.parametrize("faulty", [frozenset(), frozenset({2, 7, 12})])
+def test_copied_defaults_are_checked_and_change_nothing(wire_checks, faulty):
+    honest = SimConfig(n=16, gamma=2.0, colors=HALF, faulty=faulty,
+                       coalition=CoalitionConfig(members=(1, 4)))
+    copies = replace(honest, coalition=replace(honest.coalition,
+                                               strategy="_test_copies"))
+    for seed in range(12):
+        expected = trace_json_line(run_trial(replace(honest,
+                                                     master_seed=seed)))
+        assert wire_checks == {}
+        trace = run_trial(replace(copies, master_seed=seed))
+        assert wire_checks["certificate_flaw"] > 0
+        assert wire_checks["record_commitment"] > 0
+        wire_checks.clear()
+        trace.config = replace(honest, master_seed=seed)
+        assert trace_json_line(trace) == expected
 
 
 def test_trace_dict_is_plain_data():

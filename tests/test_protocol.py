@@ -248,6 +248,8 @@ def test_record_commitment_rejects_malformed():
         ((65, 1), (5, 3)),               # value above modulus
         ((-1, 1), (5, 3)),               # negative value
         (("a", 1), (5, 3)),              # non-int value
+        ((True, 1), (5, 3)),             # bool value
+        ((10, 1), (5, True)),            # bool target
         "nonsense",
         42,
     ]
@@ -279,6 +281,15 @@ def test_certificate_flaw_catches_duplicates_and_ranges():
     assert certificate_flaw(Certificate(0, (), 1, 5), P4) == "owner out of range"
     assert certificate_flaw(Certificate(0, ((1, 2, 3),), 1, 1), P4) == "vote round out of range"
     assert certificate_flaw("junk", P4) == "not a certificate"
+    # a bool is an int to isinstance, but no wire field carries one
+    for cert, flaw in [
+            (Certificate(False, (), 1, 1), "ticket out of range"),
+            (Certificate(0, (), True, 1), "color out of range"),
+            (Certificate(0, (), 1, True), "owner out of range"),
+            (Certificate(1, ((True, 2, 1),), 1, 1), "vote value out of range"),
+            (Certificate(1, ((1, True, 1),), 1, 1), "vote sender out of range"),
+            (Certificate(1, ((1, 2, True),), 1, 1), "vote round out of range")]:
+        assert certificate_flaw(cert, P4) == flaw
 
 
 def test_min_certificate_strict_less_keeps_incumbent_on_tie():
