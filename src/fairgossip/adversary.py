@@ -11,9 +11,11 @@ Hooks may return None where silence / inaction is meaningful (skipping a
 pull, not replying, withholding a vote or push). The engine validates hook
 results against the wire format and raises StrategyError on anything no
 protocol message could carry; strategies deviate within the transport, they
-do not get a side channel. A result that is the default object itself (not
-an equal copy) is taken as is: the engine built or already checked it, and
-it is immutable.
+do not get a side channel. A find-min reply or coherence push that is the
+member's current minimum itself (not an equal copy), and a pull answer
+that is its chosen intention itself, are taken as is: both already passed
+the checks and are frozen. A declared certificate is always checked, the
+default too, since ``own_cert`` is built from the member's live ``tally``.
 """
 
 from __future__ import annotations

@@ -386,13 +386,13 @@ def run_trial(config: SimConfig, *, record: bool = True,
         if u in member_set:
             view = views[u]
             view.own_cert = cert
-            declared = strategy.declare_certificate(view, cert)
-            if declared is not cert:
-                _check_cert(u, declared, params)
-                if declared.owner != u:
-                    raise StrategyError(f"member {u}: declared certificate "
-                                        f"owned by {declared.owner}")
-                cert = declared
+            # checked even when it is the default: the default is built from
+            # view.tally, which the strategy holds live and may have edited
+            cert = strategy.declare_certificate(view, cert)
+            _check_cert(u, cert, params)
+            if cert.owner != u:
+                raise StrategyError(f"member {u}: declared certificate "
+                                    f"owned by {cert.owner}")
             view.declared_cert = view.ce_min = cert
         ce_min[u] = cert
         ce_bits[u] = certificate_bits(cert, widths)
@@ -422,7 +422,8 @@ def run_trial(config: SimConfig, *, record: bool = True,
             elif t in member_set:
                 reply = strategy.findmin_reply(views[t], u, rnd, ce_min[t])
                 if reply is ce_min[t]:
-                    # every ce_min was built here or passed _check_cert
+                    # every ce_min is an honest agent's certificate or
+                    # passed _check_cert, and certificates are frozen
                     bits = ce_bits[t]
                 elif reply is not None:
                     _check_cert(t, reply, params)

@@ -436,6 +436,20 @@ class _BadHook(DeviationStrategy):
         setattr(self, ctx.options["hook"], lambda *_: ctx.options["value"])
 
 
+@register
+class _TallyEdit(DeviationStrategy):
+    """Adds option ``entries`` to its live tally, then declares the default
+    certificate built over it."""
+
+    name = "_test_tally_edit"
+    option_keys = frozenset({"entries"})
+
+    def choose_vote(self, view, round_index, default):
+        if round_index == 1:
+            view.tally.extend(self.ctx.options["entries"])
+        return default
+
+
 # (strategy, options, message after "member 2: ") for each wire check
 BOUNDARY_CASES = [
     ("_test_bad_cert", {}, "declared certificate owned by 3"),
@@ -463,6 +477,14 @@ BOUNDARY_CASES = [
           ("coherence_push", Certificate(0, ((1, True, 1),), 1, 2),
            "vote sender out of range"),
           ("final_decision", True, "bad decision True"),
+      ]),
+    # the default certificate is built over the tally, so it is checked too
+    *(("_test_tally_edit", {"entries": entries}, message)
+      for entries, message in [
+          (((65, 1, 1),), "vote value out of range"),
+          (((1, 0, 1),), "vote sender out of range"),
+          (((1, True, 1),), "vote sender out of range"),
+          (((1, 3, 1), (1, 3, 1)), "duplicate (sender, round) vote"),
       ]),
 ]
 
@@ -517,11 +539,13 @@ def wire_checks(monkeypatch):
 def test_default_hook_results_are_not_rechecked(wire_checks):
     config = SimConfig(n=64, gamma=4.0, colors=HALF64,
                        coalition=CoalitionConfig(members=(1, 2, 33, 34)))
+    # each member's declared certificate is checked once, when it is
+    # declared; its owner serves it from then on as its default, and its
+    # pull answers are its chosen intention
     for seed in range(3):
         run_trial(replace(config, master_seed=seed), record=False)
-    assert wire_checks == {}
-    # each doctored certificate is checked once, when it is declared; its
-    # owner serves it from then on as its default
+    assert wire_checks == {"certificate_flaw": 3 * 4}
+    wire_checks.clear()
     run_trial(replace(config, coalition=replace(config.coalition,
                                                 strategy="k_underbid")),
               record=False)
@@ -537,9 +561,9 @@ def test_copied_defaults_are_checked_and_change_nothing(wire_checks, faulty):
     for seed in range(12):
         expected = trace_json_line(run_trial(replace(honest,
                                                      master_seed=seed)))
-        assert wire_checks == {}
+        assert wire_checks == {"certificate_flaw": 2}   # the declarations
         trace = run_trial(replace(copies, master_seed=seed))
-        assert wire_checks["certificate_flaw"] > 0
+        assert wire_checks["certificate_flaw"] > 2
         assert wire_checks["record_commitment"] > 0
         wire_checks.clear()
         trace.config = replace(honest, master_seed=seed)
