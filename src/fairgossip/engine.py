@@ -288,6 +288,9 @@ def run_trial(config: SimConfig, *, record: bool = True,
         views[b].ledger = ledgers[b]
     coalition_pulled: set[int] = set()
     first_declarations: dict[int, Optional[tuple]] = {}
+    # member replies that passed record_commitment, by id; holding each one
+    # keeps its id from being reused within the trial
+    kept: dict[int, tuple] = {}
 
     n_msgs = 0
     n_bits = 0
@@ -309,11 +312,18 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 ledgers[u].declarations[t] = None
             elif t in member_set:
                 reply = strategy.reply_to_pull(views[t], u, rnd, chosen[t])
-                if reply is chosen[t]:
-                    # chosen intentions are canonical tuples already
+                if reply is chosen[t] or (reply is not None
+                                          and kept.get(id(reply)) is reply):
+                    # chosen intentions are canonical tuples already, and
+                    # so is every kept reply
                     ledgers[u].declarations[t] = filed = reply
                 else:
                     filed = record_commitment(ledgers[u], t, reply, params)
+                    if filed is not None and type(reply) is tuple and all(
+                            type(pair) is tuple for pair in reply):
+                        # tuples all the way down to the checked ints, so
+                        # the same object is the same declaration
+                        kept[id(reply)] = reply
                 if t not in first_declarations and u not in member_set:
                     # the first declaration an honest agent pins down
                     first_declarations[t] = filed
@@ -626,10 +636,13 @@ def run_honest_trials(config: SimConfig, seeds: Iterable[int],
     ``draw_batch``, its tickets and tally sizes are computed for the whole
     chunk, and its flags come from ``run_trial``'s classifier in one call
     per chunk. Find-min is ``run_trial``'s serialized loop over (ticket,
-    owner) pairs, seed by seed; coherence runs only when find-min left
-    different owners, and then aborts iff some push in some round reaches
-    a live agent holding another owner (until the first failure every
-    agent pushes). ``run_trial`` stays the definition;
+    owner) pairs, seed by seed, left as soon as every active agent holds
+    the smallest ticket: a pull adopts only a strictly smaller ticket and
+    a faulty agent holds m, so later rounds change nothing (``run_trial``
+    runs them all, as it counts their messages). Coherence runs only when
+    find-min left different owners, and then aborts iff some push in some
+    round reaches a live agent holding another owner (until the first
+    failure every agent pushes). ``run_trial`` stays the definition;
     tests/test_engine.py compares the two seed by seed.
     """
     if config.coalition is not None:
@@ -671,15 +684,23 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int],
             tickets = [held[u] for u in active]
             # find-min: pulls serialized in agent order, ties keep the
             # incumbent; a faulty agent holds ticket m, so pulling it never
-            # changes a thing
+            # changes a thing. A pull only adopts a strictly smaller ticket,
+            # so once every active agent holds the smallest one the
+            # remaining rounds change nothing and are skipped.
             owner = list(range(n + 1))
             for u in config.faulty:
                 held[u] = m
+            low = min(tickets)
+            left = len(tickets) - tickets.count(low)
             for row in findmin_rows[i]:
+                if not left:
+                    break
                 for u, t in zip(active, row):
                     if held[t] < held[u]:
-                        held[u] = held[t]
+                        held[u] = k = held[t]
                         owner[u] = owner[t]
+                        if k == low:
+                            left -= 1
             holders = [owner[u] for u in active]
             head = holders[0]
             converged = holders.count(head) == len(holders)

@@ -134,21 +134,28 @@ def draw_batch(seeds: Iterable[int],
             redraw.extend((i, u) for u in range(1, n + 1))
         else:
             groups.setdefault(_seed_words(seed), []).append(i)
+    # numpy's map for a range r < 2**32: w -> (w * r) >> 32, redrawing w
+    # while the product's low half is below 2**32 mod r (Lemire 2019),
+    # which is never for a power of two. Each word is multiplied by its
+    # column's range in one pass into a contiguous uint64 array, which is
+    # then mapped in place.
+    ranges = np.array([m] * q + [n] * (4 * q), dtype=np.uint64)
     for words, rows in groups.items():
         drawn = _lane_words([seeds[i] for i in rows], words, n, 5 * q)
-        drawn = drawn.reshape(len(rows), n, 5 * q)
-        rejected = np.zeros((len(rows), n), dtype=bool)
-        # numpy's map for a range r < 2**32: w -> (w * r) >> 32, redrawing
-        # w while the product's low half is below 2**32 mod r (Lemire 2019),
-        # which is never for a power of two
-        for out, block, r in ((values, drawn[..., :q], m),
-                              (targets, drawn[..., q:], n)):
-            prod = np.multiply(block, np.uint64(r), dtype=np.uint64)
-            out[rows, 1:] = (prod >> _SHIFT32) + 1
-            if (1 << 32) % r:
-                rejected |= ((prod & _LOW32) < (1 << 32) % r).any(axis=2)
-        redraw.extend((rows[i], u + 1)
-                      for i, u in np.argwhere(rejected).tolist())
+        prod = np.multiply(drawn.reshape(len(rows), n, 5 * q), ranges)
+        rejected = None
+        for cols, r in ((slice(None, q), m), (slice(q, None), n)):
+            if r & (r - 1):
+                hit = ((prod[..., cols] & _LOW32) < (1 << 32) % r).any(axis=2)
+                rejected = hit if rejected is None else rejected | hit
+        prod >>= _SHIFT32
+        prod += np.uint64(1)
+        at = slice(None) if len(rows) == len(seeds) else rows
+        values[at, 1:] = prod[..., :q]
+        targets[at, 1:] = prod[..., q:]
+        if rejected is not None:
+            redraw.extend((rows[i], u + 1)
+                          for i, u in np.argwhere(rejected).tolist())
     for i, u in redraw:
         gen = derive_stream(seeds[i], u)
         values[i, u] = gen.integers(1, m + 1, size=q)

@@ -1,0 +1,64 @@
+"""The pair statistics of tools/bench_pairs.py, on made-up runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "rate", "better": "higher", "bound": 0.25},
+           {"name": "ms", "better": "lower", "bound": 0.2}]
+
+
+def _pairs(parent, change, failed=(0, 0)):
+    return [{"parent": {"rate": p, "ms": 1000 / p, "failed": failed[0],
+                        "attempted": 10, "correct": True},
+             "change": {"rate": c, "ms": 1000 / c, "failed": failed[1],
+                        "attempted": 10, "correct": True}}
+            for p, c in zip(parent, change)]
+
+
+def test_claim_needs_nine_tenths_and_a_gap_past_the_parent_iqr():
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+    change = [120, 119, 121, 118, 122, 120, 117, 123, 99, 120]
+    summary = bench_pairs.summarize("w", _pairs(parent, change), METRICS)
+    rate, ms = summary["metrics"]["rate"], summary["metrics"]["ms"]
+    assert rate["change_ahead_pairs"] == ms["change_ahead_pairs"] == 9
+    assert rate["change_worse_by"] == pytest.approx(-0.2)
+    assert ms["change_worse_by"] < 0 and ms["within_bound"]
+    for name, better in (("rate", "higher"), ("ms", "lower")):
+        claim = bench_pairs.judge(summary, name, better)
+        assert claim["wins_needed"] == 9 and claim["met"], claim
+
+    # eight wins of ten are not enough
+    change[0] = 99
+    summary = bench_pairs.summarize("w", _pairs(parent, change), METRICS)
+    assert not bench_pairs.judge(summary, "rate", "higher")["met"]
+
+
+def test_claim_fails_on_a_gap_inside_the_iqr_or_more_failed_ops():
+    parent = [90, 110, 95, 105, 100, 92, 108, 97, 103, 100]
+    change = [p + 1 for p in parent]
+    summary = bench_pairs.summarize("w", _pairs(parent, change), METRICS)
+    claim = bench_pairs.judge(summary, "rate", "higher")
+    assert claim["wins"] == 10 and claim["median_gap"] == pytest.approx(1)
+    assert claim["parent_iqr_width"] > 1 and not claim["met"]
+
+    change = [p * 2 for p in parent]
+    summary = bench_pairs.summarize("w", _pairs(parent, change, (0, 1)),
+                                    METRICS)
+    assert summary["failed"] == {"parent": 0, "change": 10}
+    assert not bench_pairs.judge(summary, "rate", "higher")["met"]
+
+
+def test_regression_past_the_bound_is_flagged():
+    parent = [100] * 10
+    change = [70] * 10
+    summary = bench_pairs.summarize("w", _pairs(parent, change), METRICS)
+    assert summary["metrics"]["rate"]["change_worse_by"] == pytest.approx(0.3)
+    assert not summary["metrics"]["rate"]["within_bound"]
+    assert not summary["metrics"]["ms"]["within_bound"]

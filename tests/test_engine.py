@@ -227,9 +227,10 @@ def test_fast_draws_replay_reference_loop(monkeypatch):
 
 
 def _honest_cases():
-    """(config, calibration, trials): ticket ties at n <= 5, redrawn
-    draw_agents rows at n=100, three colours, explicit and random:K
-    faults, and gammas low enough that find-min often fails to converge."""
+    """(config, calibration, trials): ticket ties at n <= 5, tied smallest
+    tickets at n=5, gamma=30, redrawn draw_agents rows at n=100, three
+    colours, explicit and random:K faults, and gammas low enough that
+    find-min often fails to converge."""
     from fairgossip.config import resolve_faulty
 
     def alt(n, k=2):
@@ -255,6 +256,8 @@ def _honest_cases():
          tight, 1200),
         (SimConfig(n=100, gamma=0.8, colors=alt(100),
                    faulty=frozenset({1, 50, 100})), default, 1200),
+        # modulus 125 and 49-vote tallies: tied smallest tickets
+        (SimConfig(n=5, gamma=30.0, colors=alt(5)), default, 400),
     ]
 
 
@@ -293,6 +296,19 @@ def test_honest_kernel_matches_run_trial(monkeypatch):
     # every flag, ticket ties and non-convergence included, went both ways
     assert all(v == {False, True} for v in seen.values()), seen
     assert all(events.values()), events
+
+
+def test_honest_cases_include_tied_minima():
+    # the kernel's find-min stops once every active agent holds the
+    # smallest ticket; two agents drawing it is the case to hold it to
+    (config, _, trials), = [case for case in _honest_cases()
+                            if case[0].gamma == 30.0]
+    tied = 0
+    for seed in range(trials):
+        tickets = run_trial(replace(config, master_seed=seed),
+                            record=False).tickets
+        tied += list(tickets.values()).count(min(tickets.values())) > 1
+    assert tied > 0
 
 
 def test_honest_kernel_takes_seeds_lazily_in_chunks():
@@ -550,6 +566,66 @@ def test_default_hook_results_are_not_rechecked(wire_checks):
                                                 strategy="k_underbid")),
               record=False)
     assert wire_checks == {"certificate_flaw": 4}
+
+
+def test_kept_commitment_replies_are_checked_once(wire_checks):
+    # commitment_mismatch answers every pull with one cached fake per
+    # member, which is checked when it is first filed
+    config = SimConfig(n=64, gamma=4.0, colors=HALF64,
+                       coalition=CoalitionConfig(members=(1, 2, 33, 34),
+                                                 strategy="commitment_mismatch"))
+    for seed in range(4):
+        run_trial(replace(config, master_seed=seed), record=False)
+        assert wire_checks == {"certificate_flaw": 4, "record_commitment": 4}
+        wire_checks.clear()
+
+
+class _Pair(tuple):
+    pass
+
+
+@register
+class _Replies(DeviationStrategy):
+    """Honest, but answers pulls with option ``kind``: a fresh equal tuple
+    each time ("copies"), or one cached tuple per member whose pairs are
+    lists ("lists") or a tuple subclass ("subclass"). ``answers`` counts
+    the answers."""
+
+    name = "_test_replies"
+    option_keys = frozenset({"kind"})
+    answers = Counter()
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self._cached = {}
+
+    def reply_to_pull(self, view, requester, round_index, default):
+        self.answers["reply_to_pull"] += 1
+        kind = self.ctx.options["kind"]
+        if kind == "copies":
+            return tuple(list(default))
+        pair = list if kind == "lists" else _Pair
+        if view.id not in self._cached:
+            self._cached[view.id] = tuple(pair(p) for p in default)
+        return self._cached[view.id]
+
+
+@pytest.mark.parametrize("kind", ["copies", "lists", "subclass"])
+def test_unkept_commitment_replies_are_checked_every_time(wire_checks, kind):
+    honest = SimConfig(n=16, gamma=2.0, colors=HALF,
+                       coalition=CoalitionConfig(members=(1, 4)))
+    replies = replace(honest, coalition=replace(
+        honest.coalition, strategy="_test_replies", options={"kind": kind}))
+    for seed in range(6):
+        expected = trace_json_line(run_trial(replace(honest,
+                                                     master_seed=seed)))
+        wire_checks.clear()
+        _Replies.answers.clear()
+        trace = run_trial(replace(replies, master_seed=seed))
+        assert wire_checks["record_commitment"] == \
+            _Replies.answers["reply_to_pull"] > 2
+        trace.config = replace(honest, master_seed=seed)
+        assert trace_json_line(trace) == expected
 
 
 @pytest.mark.parametrize("faulty", [frozenset(), frozenset({2, 7, 12})])
