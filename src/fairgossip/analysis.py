@@ -18,6 +18,7 @@ from .engine import (
     Calibration,
     SimConfig,
     Trace,
+    draw_chunks,
     run_honest_trials,
     run_trial,
     validate_config,
@@ -33,10 +34,14 @@ def _coalition_of(config: SimConfig) -> frozenset[int]:
 def iter_trials(config: SimConfig, seeds: Iterable[int],
                 calibration: Calibration = DEFAULT_CALIBRATION,
                 record: bool = False) -> Iterator[Trace]:
-    """The trace of `config` at each master seed in `seeds`, in order."""
-    for seed in seeds:
-        yield run_trial(replace(config, master_seed=seed), record=record,
-                        calibration=calibration)
+    """The trace of `config` at each master seed in `seeds`, in order.
+    Seeds are taken a chunk at a time, and each chunk's agent draws come
+    from one `draw_batch` (`engine.draw_chunks`)."""
+    params = validate_config(config)
+    for chunk, values, targets in draw_chunks(iter(seeds), params):
+        for seed, drawn in zip(chunk, zip(values, targets)):
+            yield run_trial(replace(config, master_seed=seed), record=record,
+                            calibration=calibration, draws=drawn)
 
 
 # --- legitimate winner ------------------------------------------------------
@@ -303,8 +308,9 @@ class BaselineCache:
 
     A baseline trial depends only on the coalition-free config, the
     calibration and the seed, so different deviation experiments over the
-    same population can share it. Keyed defensively: reusing the cache
-    with a different base config is a configuration error.
+    same population can share it, whatever their ``master_seed`` (the
+    seeds come from the experiment's range). Keyed defensively: reusing
+    the cache with a different base config is a configuration error.
     """
 
     key: object = None
@@ -330,7 +336,7 @@ def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
     members = config.coalition.members
     base_config = replace(config, coalition=None)
     if cache is not None:
-        cache_key = (base_config, calibration)
+        cache_key = (replace(base_config, master_seed=0), calibration)
         if cache.key is None:
             cache.key = cache_key
         elif cache.key != cache_key:

@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,7 +26,11 @@ from fairgossip.adversary import (
     make_strategy,
 )
 from fairgossip.protocol import (
+    BAD_CHECKSUM,
+    MARKED_VOTER_NONZERO,
+    NO_REPLY_MARK,
     STRATEGY_STREAM_TAG,
+    VOTE_MISMATCH,
     Certificate,
     ConfigError,
     Ledger,
@@ -42,6 +46,7 @@ from fairgossip.protocol import (
     record_commitment,
     valid_intention,
     verify_certificate,
+    vote_sum,
 )
 
 PHASE_COMMITMENT = "commitment"
@@ -217,9 +222,13 @@ def validate_config(config: SimConfig) -> Params:
 
 
 def run_trial(config: SimConfig, *, record: bool = True,
-              calibration: Calibration = DEFAULT_CALIBRATION) -> Trace:
+              calibration: Calibration = DEFAULT_CALIBRATION,
+              draws: Optional[tuple[np.ndarray, np.ndarray]] = None,
+              ) -> Trace:
     """One trial at ``config.master_seed``; ``record=False`` leaves the
-    trace's message and vote logs None."""
+    trace's message and vote logs None. ``draws`` are that seed's
+    ``draw_agents`` rows, when the caller drew them already (in a
+    ``draw_batch`` over several seeds)."""
     params = validate_config(config)
     n, q, m = params.n, params.phase_rounds, params.modulus
     seed = config.master_seed
@@ -238,13 +247,19 @@ def run_trial(config: SimConfig, *, record: bool = True,
     honest = [u for u in range(1, n + 1)
               if u not in faulty and u not in member_set]
     active = [u for u in range(1, n + 1) if u not in faulty]
+    # plain[u]: u is honest and not a member. A pull between two plain
+    # agents calls no hook and checks nothing, so it takes a short branch.
+    plain = [False] * (n + 1)
+    for u in honest:
+        plain[u] = True
 
     # Per-agent randomness: one value block then one target block per agent,
     # consumed in phase order. Faulty agents draw too — draws are a function
     # of (seed, id) alone, so the fault set never shifts anyone's stream.
     # Row j of `columns` holds every active agent's j-th drawn target: q
     # vote targets, then q for each of commitment, find-min and coherence.
-    drawn_values, drawn_targets = draw_agents(seed, params)
+    drawn_values, drawn_targets = (draw_agents(seed, params)
+                                   if draws is None else draws)
     intentions: list = [
         tuple(zip(values, targets)) for values, targets in
         zip(drawn_values.tolist(), drawn_targets[:, :q].tolist())]
@@ -282,8 +297,10 @@ def run_trial(config: SimConfig, *, record: bool = True,
 
     # --- commitment: q rounds of pulling vote declarations ---------------
     ledgers: list = [None] * (n + 1)
+    declared: list = [None] * (n + 1)     # ledgers[u].declarations
     for u in active:
         ledgers[u] = Ledger()
+        declared[u] = ledgers[u].declarations
     for b in members:
         views[b].ledger = ledgers[b]
     coalition_pulled: set[int] = set()
@@ -294,9 +311,21 @@ def run_trial(config: SimConfig, *, record: bool = True,
 
     n_msgs = 0
     n_bits = 0
+    pairs = 0       # plain pulls to another agent: a request and a reply
     for rnd, col in enumerate(columns[q:2 * q], 1):
         rounds_run += 1
         for u, t in zip(active, col):
+            if plain[u] and plain[t]:
+                # honest declarations are engine-built and already canonical
+                declared[u][t] = intentions[t]
+                if t != u:
+                    pairs += 1
+                    if messages is not None:
+                        messages.append((PHASE_COMMITMENT, rnd, u, t,
+                                         "pull_request", b_pull))
+                        messages.append((PHASE_COMMITMENT, rnd, t, u,
+                                         "intention_reply", b_reply))
+                continue
             if u in member_set:
                 t = strategy.choose_commit_target(views[u], rnd, t)
                 if t is None:
@@ -309,14 +338,14 @@ def run_trial(config: SimConfig, *, record: bool = True,
                     messages.append((PHASE_COMMITMENT, rnd, u, t,
                                      "pull_request", b_pull))
             if t in faulty:
-                ledgers[u].declarations[t] = None
+                declared[u][t] = None
             elif t in member_set:
                 reply = strategy.reply_to_pull(views[t], u, rnd, chosen[t])
                 if reply is chosen[t] or (reply is not None
                                           and kept.get(id(reply)) is reply):
                     # chosen intentions are canonical tuples already, and
                     # so is every kept reply
-                    ledgers[u].declarations[t] = filed = reply
+                    declared[u][t] = filed = reply
                 else:
                     filed = record_commitment(ledgers[u], t, reply, params)
                     if filed is not None and type(reply) is tuple and all(
@@ -334,17 +363,17 @@ def run_trial(config: SimConfig, *, record: bool = True,
                         messages.append((PHASE_COMMITMENT, rnd, t, u,
                                          "intention_reply", b_reply))
             else:
-                # honest declarations are engine-built and already canonical
                 if t != u:
                     n_msgs += 1
                     n_bits += b_reply
                     if messages is not None:
                         messages.append((PHASE_COMMITMENT, rnd, t, u,
                                          "intention_reply", b_reply))
-                ledgers[u].declarations[t] = intentions[t]
+                declared[u][t] = intentions[t]
             if u in member_set and t != u:
                 coalition_pulled.add(t)
-    by_phase.append((PHASE_COMMITMENT, n_msgs, n_bits))
+    by_phase.append((PHASE_COMMITMENT, n_msgs + 2 * pairs,
+                     n_bits + pairs * (b_pull + b_reply)))
 
     # --- voting: q rounds of pushing vote values --------------------------
     tallies: list = [None] * (n + 1)
@@ -389,6 +418,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     tally_sizes: dict[int, int] = {}
     ce_min: list = [None] * (n + 1)
     ce_bits: list = [0] * (n + 1)     # certificate_bits(ce_min[u], widths)
+    ce_ticket: list = [0] * (n + 1)   # ce_min[u].ticket
     for u in active:
         cert = make_certificate(tallies[u], colors[u - 1], u, m)
         tickets[u] = cert.ticket
@@ -406,6 +436,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
             view.declared_cert = view.ce_min = cert
         ce_min[u] = cert
         ce_bits[u] = certificate_bits(cert, widths)
+        ce_ticket[u] = cert.ticket
 
     # --- find-min: q rounds of pulling the smallest certificate ----------
     # Pulls within a round are serialized in agent order; a reply carries
@@ -413,9 +444,27 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # the minimum several hops in one round.
     n_msgs = 0
     n_bits = 0
+    pairs = 0           # plain pulls to another agent
+    pair_bits = 0       # the certificate replies' bits of those pulls
     for rnd, col in enumerate(columns[2 * q:3 * q], 1):
         rounds_run += 1
         for u, t in zip(active, col):
+            if plain[u] and plain[t]:
+                if t != u:
+                    bits = ce_bits[t]
+                    pairs += 1
+                    pair_bits += bits
+                    if messages is not None:
+                        messages.append((PHASE_FIND_MIN, rnd, u, t,
+                                         "pull_request", b_pull))
+                        messages.append((PHASE_FIND_MIN, rnd, t, u,
+                                         "cert_reply", bits))
+                    # min_certificate: only a strictly smaller ticket wins
+                    if ce_ticket[t] < ce_ticket[u]:
+                        ce_min[u] = ce_min[t]
+                        ce_bits[u] = bits
+                        ce_ticket[u] = ce_ticket[t]
+                continue
             if u in member_set:
                 t = strategy.choose_findmin_target(views[u], rnd, t)
                 if t is None:
@@ -453,9 +502,11 @@ def run_trial(config: SimConfig, *, record: bool = True,
             if folded is not ce_min[u]:
                 ce_min[u] = folded
                 ce_bits[u] = bits
+                ce_ticket[u] = folded.ticket
                 if u in member_set:
                     views[u].ce_min = folded
-    by_phase.append((PHASE_FIND_MIN, n_msgs, n_bits))
+    by_phase.append((PHASE_FIND_MIN, n_msgs + 2 * pairs,
+                     n_bits + pairs * b_pull + pair_bits))
 
     # --- coherence: q rounds of pushing; a conflicting certificate is fatal
     failures: dict[int, int] = {}
@@ -499,12 +550,22 @@ def run_trial(config: SimConfig, *, record: bool = True,
     by_phase.append((PHASE_COHERENCE, n_msgs, n_bits))
 
     # --- verification: accept the winner or abort -------------------------
+    # Honest agents audit each distinct certificate once (see _audit); a
+    # member verifies against its own ledger, which its strategy can see.
     decisions: dict[int, Optional[int]] = {}
+    audits: dict[int, Optional[_Audit]] = {}
     for u in active:
+        cert = ce_min[u]
         if u in failures:
             default = None
+        elif plain[u]:
+            key = id(cert)      # ce_min holds every cert for the whole loop
+            if key not in audits:
+                audits[key] = _audit(cert, m, intentions, plain, member_set)
+            default = (None if _rejection(audits[key], declared[u])
+                       else cert.color)
         else:
-            res = verify_certificate(ce_min[u], ledgers[u], params)
+            res = verify_certificate(cert, ledgers[u], params)
             default = res.color if res.accepted else None
         if u in member_set:
             pick = strategy.final_decision(views[u], default)
@@ -583,6 +644,72 @@ def _check_cert(u: int, cert: object, params: Params) -> None:
         raise StrategyError(f"member {u}: {flaw}")
 
 
+class _Audit(NamedTuple):
+    """What an honest verifier's check of one certificate needs beyond
+    its own member entries (see ``_audit``)."""
+    owner: int
+    bad: dict[int, tuple[int, str]]   # sender -> (vote index, reason)
+    member_votes: list[tuple[int, int, int, int]]  # (index, value, sender, round)
+
+
+def _audit(cert: Certificate, modulus: int, intentions: list,
+           plain: list, member_set: frozenset) -> Optional[_Audit]:
+    """The part of ``verify_certificate`` that is the same for every honest
+    verifier, or None for a bad checksum.
+
+    An honest agent's ledger can hold only ``intentions[s]`` for an honest
+    non-member sender s and a None mark for a faulty one, so for those
+    senders it is enough to know which votes contradict that one possible
+    entry: ``bad`` maps each such sender to the index of its first
+    contradicting vote and the reason ``verify_certificate`` gives there.
+    Member votes are kept in order, to be checked against each verifier's
+    own entries by ``_rejection``."""
+    votes = cert.votes
+    if cert.ticket != vote_sum(votes, modulus):
+        return None
+    owner = cert.owner
+    bad: dict[int, tuple[int, str]] = {}
+    member_votes = []
+    for i, (value, sender, rnd) in enumerate(votes):
+        if sender in member_set:
+            member_votes.append((i, value, sender, rnd))
+        elif sender in bad:
+            continue
+        elif plain[sender]:
+            declared_value, declared_target = intentions[sender][rnd - 1]
+            if declared_target != owner or declared_value != value:
+                bad[sender] = (i, VOTE_MISMATCH)
+        elif value != NO_REPLY_MARK:
+            bad[sender] = (i, MARKED_VOTER_NONZERO)
+    return _Audit(owner, bad, member_votes)
+
+
+def _rejection(audit: Optional[_Audit],
+               declarations: dict) -> Optional[str]:
+    """The reason ``verify_certificate`` gives for rejecting the audited
+    certificate against an honest verifier's ledger ``declarations``, or
+    None if it accepts."""
+    if audit is None:
+        return BAD_CHECKSUM
+    owner, bad, member_votes = audit
+    first = min((bad[s] for s in bad.keys() & declarations.keys()),
+                default=None) if bad else None
+    for i, value, sender, rnd in member_votes:
+        if first is not None and i > first[0]:
+            break
+        if sender not in declarations:
+            continue
+        decl = declarations[sender]
+        if decl is None:
+            if value != NO_REPLY_MARK:
+                return MARKED_VOTER_NONZERO
+        else:
+            declared_value, declared_target = decl[rnd - 1]
+            if declared_target != owner or declared_value != value:
+                return VOTE_MISMATCH
+    return None if first is None else first[1]
+
+
 def _classify(params, calibration, active, sizes, pulls, votes, tickets,
               converged, failed) -> list[GoodExecutionFlags]:
     """The flags of a batch of trials, one row each. ``sizes``, ``pulls``
@@ -615,10 +742,21 @@ def _classify(params, calibration, active, sizes, pulls, votes, tickets,
 # (votes x modulus) stays below this; past it, in Python ints.
 _I64_SUM_LIMIT = 2 ** 63
 
-# The kernel draws its seeds in chunks of at most this many stream words
-# (seeds x agents x 5q): about 1 MB of words, and arrays of a few MB per
-# chunk in all.
+# Seeds are drawn in chunks of at most this many stream words (seeds x
+# agents x 5q): about 1 MB of words, and arrays of a few MB per chunk in
+# all.
 _CHUNK_WORDS = 1 << 17
+
+
+def draw_chunks(seeds: Iterator[int], params: Params,
+                ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """``(chunk, values, targets)`` for consecutive chunks of ``seeds``,
+    each taken only when it is needed and drawn with one ``draw_batch``;
+    ``values[i]`` and ``targets[i]`` are ``draw_agents(chunk[i], params)``.
+    """
+    per_chunk = max(1, _CHUNK_WORDS // (params.n * 5 * params.phase_rounds))
+    while chunk := list(islice(seeds, per_chunk)):
+        yield (chunk, *draw_batch(chunk, params))
 
 
 def run_honest_trials(config: SimConfig, seeds: Iterable[int],
@@ -659,10 +797,7 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int],
     act = np.array(active)
     live = np.zeros(n + 1, dtype=bool)
     live[act] = True
-    per_chunk = max(1, _CHUNK_WORDS // (n * 5 * q))
-
-    while chunk := list(islice(seeds, per_chunk)):
-        values, targets = draw_batch(chunk, params)
+    for chunk, values, targets in draw_chunks(seeds, params):
         values, targets = values[:, act], targets[:, act]
         # one bin per (seed, agent); a vote to a faulty receiver is
         # dropped, and its bin is never read

@@ -14,6 +14,7 @@ from fairgossip.analysis import (
     FairnessReport,
     MemberStat,
     fairness_test,
+    iter_trials,
     legitimate_winner,
     run_claims_experiment,
     run_equilibrium_experiment,
@@ -21,8 +22,14 @@ from fairgossip.analysis import (
     scaling_experiment,
     winner_uniformity_test,
 )
-from fairgossip.engine import CoalitionConfig, SimConfig, run_trial
-from fairgossip.protocol import ConfigError
+from fairgossip import engine
+from fairgossip.engine import (
+    CoalitionConfig,
+    SimConfig,
+    run_trial,
+    trace_json_line,
+)
+from fairgossip.protocol import ConfigError, derive_params
 
 HALF16 = tuple([1] * 8 + [2] * 8)
 HALF32 = tuple([1] * 16 + [2] * 16)
@@ -244,6 +251,20 @@ def test_cache_guards_its_config():
         run_equilibrium_experiment(other, 3, cache=cache)
 
 
+def test_cache_ignores_the_master_seed():
+    # baselines run at the experiment's seeds, never at master_seed
+    cache = BaselineCache()
+    run_equilibrium_experiment(dataclasses.replace(underbid_config(0),
+                                                   master_seed=5),
+                               3, 0, cache=cache)
+    other = SimConfig(n=16, gamma=2.0, colors=HALF16, master_seed=6,
+                      coalition=CoalitionConfig(
+                          members=(5,), strategy="commitment_mismatch"))
+    rep = run_equilibrium_experiment(other, 3, 0, cache=cache)
+    assert len(cache.entries) == 3
+    assert rep == run_equilibrium_experiment(other, 3, 0)
+
+
 def test_equilibrium_requires_coalition():
     with pytest.raises(ConfigError):
         run_equilibrium_experiment(
@@ -344,3 +365,49 @@ def test_scaling_table_frozen():
     ]
     for r in rows:
         assert r.rounds == 4 * r.q
+
+
+# --- the seed loop ----------------------------------------------------------
+
+@pytest.mark.parametrize("record", [False, True])
+def test_iter_trials_draws_a_chunk_at_a_time(monkeypatch, record):
+    # chunks of 4 seeds; one-, two- and three-word seeds sit on both sides
+    # of each chunk boundary
+    config = SimConfig(n=17, gamma=1.5, colors=tuple(i % 2 + 1
+                                                     for i in range(17)),
+                       faulty=frozenset({6}),
+                       coalition=CoalitionConfig(members=(2, 9),
+                                                 strategy="k_underbid"))
+    q = derive_params(17, 1.5).phase_rounds
+    monkeypatch.setattr(engine, "_CHUNK_WORDS", 4 * 17 * 5 * q)
+    seeds = [(0, 2**32, 2**70)[s % 3] + s for s in range(11)]
+    pulled = []
+
+    def feed():
+        for seed in seeds:
+            pulled.append(seed)
+            yield seed
+
+    traces = iter_trials(config, feed(), record=record)
+    assert not pulled
+    got = [next(traces)]
+    assert len(pulled) == 4
+    got += [next(traces) for _ in range(4)]
+    assert len(pulled) == 8
+    got += list(traces)
+    assert len(got) == len(pulled) == len(seeds)
+    for seed, trace in zip(seeds, got):
+        expected = run_trial(dataclasses.replace(config, master_seed=seed),
+                             record=record)
+        assert trace_json_line(trace) == trace_json_line(expected), seed
+
+
+def test_iter_trials_rejects_a_negative_seed():
+    # as run_trial does: numpy's SeedSequence refuses it
+    config = SimConfig(n=16, gamma=2.0, colors=HALF16)
+    with pytest.raises(ValueError) as want:
+        run_trial(dataclasses.replace(config, master_seed=-1))
+    with pytest.raises(ValueError) as got:
+        list(iter_trials(config, [0, -1]))
+    assert not isinstance(got.value, ConfigError)
+    assert str(got.value) == str(want.value)

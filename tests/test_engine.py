@@ -29,7 +29,15 @@ from fairgossip.engine import (
     validate_config,
     vote_push_bits,
 )
-from fairgossip.protocol import Certificate, ConfigError, derive_params, vote_sum
+from fairgossip.protocol import (
+    Certificate,
+    ConfigError,
+    Ledger,
+    Params,
+    derive_params,
+    verify_certificate,
+    vote_sum,
+)
 
 HALF = tuple([1] * 8 + [2] * 8)          # n=16, two equal color classes
 HALF64 = tuple([1] * 32 + [2] * 32)
@@ -677,3 +685,120 @@ def test_trial_invariants_random_configs(seed, n, n_faulty):
     if t.outcome is not None:
         honest_decisions = {t.decisions[u] for u in active}
         assert honest_decisions == {t.outcome}
+
+
+def test_given_draws_replay_the_trial():
+    from fairgossip.protocol import draw_agents
+
+    config = SimConfig(n=17, gamma=1.5, colors=tuple(i % 2 + 1
+                                                     for i in range(17)),
+                       faulty=frozenset({6}), master_seed=2**32 + 3,
+                       coalition=CoalitionConfig(members=(2, 9),
+                                                 strategy="k_underbid"))
+    drawn = draw_agents(config.master_seed, validate_config(config))
+    assert (trace_json_line(run_trial(config, draws=drawn))
+            == trace_json_line(run_trial(config)))
+
+
+@st.composite
+def _audit_cases(draw):
+    """A certificate and honest verifiers' ledgers as run_trial can build
+    them: an honest sender's entry is its intention, a faulty one's a None
+    mark, and a member's whatever it answered that verifier (None, its
+    intention, or another list), each entry possibly missing."""
+    n = draw(st.integers(2, 7))
+    q = draw(st.integers(1, 3))
+    m = n ** 3
+    roles = draw(st.lists(st.sampled_from("hfm"), min_size=n, max_size=n))
+    plain = [False] + [r == "h" for r in roles]
+    members = frozenset(u for u, r in enumerate(roles, 1) if r == "m")
+    owner = draw(st.integers(1, n))
+    pair = st.tuples(st.integers(1, m), st.integers(1, n))
+    intentions = [None] + [list(draw(st.lists(pair, min_size=q, max_size=q)))
+                           for _ in range(n)]
+    votes = []
+    for sender in range(1, n + 1):
+        for rnd in range(1, q + 1):
+            kind = draw(st.sampled_from(["none", "true", "other", "zero"]))
+            if kind == "none":
+                continue
+            if kind == "true":      # as declared: sent to the owner
+                intentions[sender][rnd - 1] = (
+                    intentions[sender][rnd - 1][0], owner)
+                value = intentions[sender][rnd - 1][0]
+            else:
+                value = 0 if kind == "zero" else draw(st.integers(0, m))
+            votes.append((value, sender, rnd))
+    intentions = [None] + [tuple(i) for i in intentions[1:]]
+    ticket = vote_sum(votes, m)
+    if draw(st.booleans()) and draw(st.booleans()):
+        ticket = (ticket + 1) % m
+    cert = Certificate(ticket, tuple(votes), 1, owner)
+    ledgers = []
+    for _ in range(draw(st.integers(1, 4))):
+        ledger = Ledger()
+        for s in range(1, n + 1):
+            if not draw(st.booleans()):
+                continue            # never pulled: unseen
+            if plain[s]:
+                ledger.declarations[s] = intentions[s]
+            elif s not in members:
+                ledger.declarations[s] = None
+            else:
+                ledger.declarations[s] = draw(st.one_of(
+                    st.none(), st.just(intentions[s]),
+                    st.lists(pair, min_size=q, max_size=q).map(tuple)))
+        ledgers.append(ledger)
+    params = Params(n=n, gamma=1.0, chi=1.0, num_colors=2, modulus=m,
+                    phase_rounds=q)
+    return params, cert, intentions, plain, members, ledgers
+
+
+@given(_audit_cases())
+@settings(max_examples=400, deadline=None)
+def test_certificate_audit_agrees_with_verify_certificate(case):
+    params, cert, intentions, plain, members, ledgers = case
+    audit = engine._audit(cert, params.modulus, intentions, plain, members)
+    for ledger in ledgers:
+        reason = verify_certificate(cert, ledger, params).reason
+        assert engine._rejection(audit, ledger.declarations) == reason
+
+
+@register
+class _FaultyVote(DeviationStrategy):
+    """Honest, but declares its certificate with one more vote, value
+    ``m - ticket`` (or m), from faulty agent ``faulty`` in round 1: the
+    checksum holds and the ticket is 0."""
+
+    name = "_test_faulty_vote"
+    option_keys = frozenset({"faulty"})
+
+    def declare_certificate(self, view, default):
+        m = self.ctx.params.modulus
+        votes = tuple(sorted(default.votes + (
+            (m - default.ticket, self.ctx.options["faulty"], 1),),
+            key=lambda v: (v[1], v[2])))
+        return Certificate(vote_sum(votes, m), votes, default.color, view.id)
+
+
+def test_faulty_vote_in_a_declared_certificate_is_rejected_by_markers():
+    # no built-in strategy sends a non-zero vote from a faulty agent: every
+    # honest agent that marked that agent rejects, the others accept
+    config = SimConfig(n=16, gamma=2.0, colors=HALF, faulty=frozenset({7}),
+                       coalition=CoalitionConfig(
+                           members=(3,), strategy="_test_faulty_vote",
+                           options={"faulty": 7}))
+    markers = accepters = 0
+    for seed in range(5):
+        t = run_trial(replace(config, master_seed=seed))
+        declared = t.cert_min[3]
+        assert declared.ticket == 0
+        assert any(s == 7 and v > 0 for v, s, _ in declared.votes)
+        for u, cert in t.cert_min.items():
+            if u == 3 or u in t.failures or cert != declared:
+                continue
+            marked = 7 in t.faulty_marks[u]
+            assert t.decisions[u] == (None if marked else 1)
+            markers += marked
+            accepters += not marked
+    assert markers and accepters

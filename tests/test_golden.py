@@ -31,6 +31,7 @@ from fairgossip.engine import (
     run_honest_trials,
     run_trial,
     trace_json_line,
+    trace_to_dict,
 )
 
 SIZES = (1, 2, 3, 5, 8, 17, 40, 64, 100)
@@ -121,6 +122,22 @@ def digest(lines) -> str:
 @pytest.mark.parametrize("group", sorted(DIGESTS))
 def test_golden_digest(group):
     assert digest(group_lines(group)) == DIGESTS[group]
+
+
+@pytest.mark.parametrize("group", ["plain", *STRATEGIES])
+def test_unrecorded_trials_match_recorded(group):
+    # the digests above run with recording on; without it, a trial counts
+    # its messages and bits without logging them, and must count the same
+    coalition = None
+    if group != "plain":
+        coalition = CoalitionConfig(members=(1, 4), strategy=group,
+                                    options=STRATEGIES[group])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for config in _configs(coalition):
+            recorded = trace_to_dict(run_trial(config))
+            recorded["messages"] = recorded["votes"] = None
+            assert trace_to_dict(run_trial(config, record=False)) == recorded
 
 
 # Each line runs with ``--out`` appended; n <= 64 and at most 40 trials,

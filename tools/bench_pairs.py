@@ -23,7 +23,8 @@ Optional sections, each also run in both trees:
   --digest W=N     the output sha256 of ops 1..N of workload W at seed
                    S-1, one per op, through perfbench/worker.py's run_op;
   --kernel         40 alternating rounds of in-process timings of
-                   protocol.draw_batch and engine.run_honest_trials;
+                   protocol.draw_batch, engine.run_honest_trials and
+                   analysis.iter_trials;
   --tier1          the tier-1 tests, in the order change, parent, parent,
                    change.
 Nothing under perfbench/ is changed; its files are only run or imported.
@@ -164,17 +165,24 @@ KERNEL_CALLS = 30
 KERNEL_ROUNDS = 40
 KERNEL_SCRIPT = """
 import json, sys, time
-from fairgossip.engine import SimConfig, run_honest_trials
+from fairgossip.analysis import iter_trials
+from fairgossip.engine import CoalitionConfig, SimConfig, run_honest_trials
 from fairgossip.protocol import derive_params, draw_agents, draw_batch
 base, calls = int(sys.argv[1]), int(sys.argv[2])
 p64, p256 = derive_params(64, 4.0), derive_params(256, 4.0)
 cfg = SimConfig(n=64, gamma=4.0, colors=(1,) * 32 + (2,) * 32)
+# attack-n64's coalition and one of its strategies
+attack = SimConfig(n=64, gamma=4.0, colors=cfg.colors,
+                   coalition=CoalitionConfig(members=(1, 2, 33, 34),
+                                             strategy="k_underbid"))
 cases = {
     "draw_batch_16_n64": lambda s: draw_batch(range(s, s + 16), p64),
     "draw_agents_n64": lambda s: draw_agents(s, p64),
     "draw_agents_n256": lambda s: draw_agents(s, p256),
     "run_honest_trials_16_n64":
         lambda s: list(run_honest_trials(cfg, range(s, s + 16))),
+    "iter_trials_k_underbid_4_n64":
+        lambda s: list(iter_trials(attack, range(s, s + 4))),
 }
 out = {}
 for name, case in cases.items():
