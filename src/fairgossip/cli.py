@@ -16,7 +16,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import cache, partial
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
+from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional,
+                    TextIO)
 
 import yaml
 
@@ -64,13 +65,16 @@ def _parse_option(text: str) -> tuple[str, Any]:
         raise ConfigError(f"option {text!r}: value is not YAML") from None
 
 
-def _resolve(args: argparse.Namespace) -> tuple[SimConfig, ExperimentConfig]:
-    """Merge the config file with the flags; `parse_config` coerces and
-    checks every value, so list flags are passed on as split strings."""
+def _resolve(args: argparse.Namespace,
+             defaults: Optional[Mapping[str, Any]] = None,
+             ) -> tuple[SimConfig, ExperimentConfig]:
+    """Merge the config file, read once, with the flags; `defaults` stand
+    in for keys the file leaves out. `parse_config` coerces and checks
+    every value, so list flags are passed on as split strings."""
     if args.parallel < 1:
         raise ConfigError(f"parallel: need at least 1 worker, "
                           f"got {args.parallel}")
-    doc = _load_doc(args.config)
+    doc = {**(defaults or {}), **_load_doc(args.config)}
     overrides: dict[str, Any] = {
         "n": args.n, "gamma": args.gamma, "chi": args.chi,
         "num_colors": args.num_colors, "colors": args.colors,
@@ -284,12 +288,8 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     _require_serial(args)
-    doc = _load_doc(args.config)
-    if args.n is None and "n" not in doc:
-        args.n = 16             # scaling reads sizes, not n
-    if args.trials is None and "trials" not in doc:
-        args.trials = 5
-    sim, exp = _resolve(args)
+    # scaling reads sizes, not n
+    sim, exp = _resolve(args, {"n": 16, "trials": 5})
     if sim.coalition is not None or sim.faulty:
         raise ConfigError("scaling runs fault-free, coalition-free "
                           "configs; got a coalition or faulty agents")

@@ -45,6 +45,7 @@ from fairgossip.protocol import (
     payoff,
     record_commitment,
     valid_intention,
+    valid_vote,
     verify_certificate,
     vote_sum,
 )
@@ -152,18 +153,6 @@ def bit_widths(params: Params) -> BitWidths:
     )
 
 
-def pull_request_bits(w: BitWidths) -> int:
-    return w.agent
-
-
-def intention_reply_bits(params: Params, w: BitWidths) -> int:
-    return params.phase_rounds * (w.value + w.agent)
-
-
-def vote_push_bits(w: BitWidths) -> int:
-    return w.value
-
-
 def certificate_bits(cert: Certificate, w: BitWidths) -> int:
     return (w.value + w.color + w.agent
             + len(cert.votes) * (w.value + w.agent + w.round))
@@ -247,8 +236,9 @@ def run_trial(config: SimConfig, *, record: bool = True,
     honest = [u for u in range(1, n + 1)
               if u not in faulty and u not in member_set]
     active = [u for u in range(1, n + 1) if u not in faulty]
-    # plain[u]: u is honest and not a member. A pull between two plain
-    # agents calls no hook and checks nothing, so it takes a short branch.
+    # plain[u]: u is honest and not a member, so an active agent that is not
+    # plain is a member. A plain agent answers every pull the same way,
+    # whoever pulls, so a pull of one calls no hook and checks nothing.
     plain = [False] * (n + 1)
     for u in honest:
         plain[u] = True
@@ -288,12 +278,11 @@ def run_trial(config: SimConfig, *, record: bool = True,
             view.chosen_intention = chosen[b]
 
     widths = bit_widths(params)
-    b_pull = pull_request_bits(widths)
-    b_reply = intention_reply_bits(params, widths)
-    b_vote = vote_push_bits(widths)
+    b_pull = widths.agent                           # the puller's id
+    b_reply = q * (widths.value + widths.agent)     # q (value, target) pairs
+    b_vote = widths.value
     messages: Optional[list] = [] if record else None
     by_phase: list = []     # (phase, messages, bits), appended as each ends
-    rounds_run = 0
 
     # --- commitment: q rounds of pulling vote declarations ---------------
     ledgers: list = [None] * (n + 1)
@@ -305,17 +294,24 @@ def run_trial(config: SimConfig, *, record: bool = True,
         views[b].ledger = ledgers[b]
     coalition_pulled: set[int] = set()
     first_declarations: dict[int, Optional[tuple]] = {}
-    # member replies that passed record_commitment, by id; holding each one
-    # keeps its id from being reused within the trial
-    kept: dict[int, tuple] = {}
+    # member replies that need no check, by id: each member's chosen
+    # intention and every reply that passed record_commitment. Holding each
+    # one keeps its id from being reused within the trial.
+    kept: dict[int, tuple] = {id(chosen[b]): chosen[b] for b in members}
 
     n_msgs = 0
     n_bits = 0
-    pairs = 0       # plain pulls to another agent: a request and a reply
+    pairs = 0       # pulls of a plain agent by another: a request and a reply
     for rnd, col in enumerate(columns[q:2 * q], 1):
-        rounds_run += 1
         for u, t in zip(active, col):
-            if plain[u] and plain[t]:
+            if not plain[u]:
+                t = strategy.choose_commit_target(views[u], rnd, t)
+                if t is None:
+                    continue
+                _check_target(u, t, n)
+                if t != u:
+                    coalition_pulled.add(t)
+            if plain[t]:
                 # honest declarations are engine-built and already canonical
                 declared[u][t] = intentions[t]
                 if t != u:
@@ -326,11 +322,6 @@ def run_trial(config: SimConfig, *, record: bool = True,
                         messages.append((PHASE_COMMITMENT, rnd, t, u,
                                          "intention_reply", b_reply))
                 continue
-            if u in member_set:
-                t = strategy.choose_commit_target(views[u], rnd, t)
-                if t is None:
-                    continue
-                _check_target(u, t, n)
             if t != u:
                 n_msgs += 1
                 n_bits += b_pull
@@ -339,39 +330,28 @@ def run_trial(config: SimConfig, *, record: bool = True,
                                      "pull_request", b_pull))
             if t in faulty:
                 declared[u][t] = None
-            elif t in member_set:
-                reply = strategy.reply_to_pull(views[t], u, rnd, chosen[t])
-                if reply is chosen[t] or (reply is not None
-                                          and kept.get(id(reply)) is reply):
-                    # chosen intentions are canonical tuples already, and
-                    # so is every kept reply
-                    declared[u][t] = filed = reply
-                else:
-                    filed = record_commitment(ledgers[u], t, reply, params)
-                    if filed is not None and type(reply) is tuple and all(
-                            type(pair) is tuple for pair in reply):
-                        # tuples all the way down to the checked ints, so
-                        # the same object is the same declaration
-                        kept[id(reply)] = reply
-                if t not in first_declarations and u not in member_set:
-                    # the first declaration an honest agent pins down
-                    first_declarations[t] = filed
-                if reply is not None and t != u:
-                    n_msgs += 1
-                    n_bits += b_reply
-                    if messages is not None:
-                        messages.append((PHASE_COMMITMENT, rnd, t, u,
-                                         "intention_reply", b_reply))
+                continue
+            reply = strategy.reply_to_pull(views[t], u, rnd, chosen[t])
+            if kept.get(id(reply)) is reply:
+                # canonical already; a None reply (no id in kept) files the
+                # no-reply mark, as record_commitment would
+                declared[u][t] = filed = reply
             else:
-                if t != u:
-                    n_msgs += 1
-                    n_bits += b_reply
-                    if messages is not None:
-                        messages.append((PHASE_COMMITMENT, rnd, t, u,
-                                         "intention_reply", b_reply))
-                declared[u][t] = intentions[t]
-            if u in member_set and t != u:
-                coalition_pulled.add(t)
+                filed = record_commitment(ledgers[u], t, reply, params)
+                if filed is not None and type(reply) is tuple and all(
+                        type(pair) is tuple for pair in reply):
+                    # tuples all the way down to the checked ints, so the
+                    # same object is the same declaration
+                    kept[id(reply)] = reply
+            if t not in first_declarations and plain[u]:
+                # the first declaration an honest agent pins down
+                first_declarations[t] = filed
+            if reply is not None and t != u:
+                n_msgs += 1
+                n_bits += b_reply
+                if messages is not None:
+                    messages.append((PHASE_COMMITMENT, rnd, t, u,
+                                     "intention_reply", b_reply))
     by_phase.append((PHASE_COMMITMENT, n_msgs + 2 * pairs,
                      n_bits + pairs * (b_pull + b_reply)))
 
@@ -386,20 +366,15 @@ def run_trial(config: SimConfig, *, record: bool = True,
     n_msgs = 0
     n_bits = 0
     for rnd in range(1, q + 1):
-        rounds_run += 1
         for u in active:
-            if u in member_set:
+            if not plain[u]:
                 vote = strategy.choose_vote(views[u], rnd,
                                             chosen[u][rnd - 1])
                 if vote is None:
                     continue
-                if not isinstance(vote, (tuple, list)) or len(vote) != 2:
+                if not valid_vote(vote, params):
                     raise StrategyError(f"member {u}: bad vote {vote!r}")
                 value, target = vote
-                if (type(value) is not int or not 0 <= value <= m
-                        or type(target) is not int
-                        or not 1 <= target <= n):
-                    raise StrategyError(f"member {u}: bad vote {vote!r}")
             else:
                 value, target = chosen[u][rnd - 1]
             if target != u:
@@ -423,7 +398,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
         cert = make_certificate(tallies[u], colors[u - 1], u, m)
         tickets[u] = cert.ticket
         tally_sizes[u] = len(tallies[u])
-        if u in member_set:
+        if not plain[u]:
             view = views[u]
             view.own_cert = cert
             # checked even when it is the default: the default is built from
@@ -444,12 +419,16 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # the minimum several hops in one round.
     n_msgs = 0
     n_bits = 0
-    pairs = 0           # plain pulls to another agent
+    pairs = 0           # pulls of a plain agent by another
     pair_bits = 0       # the certificate replies' bits of those pulls
     for rnd, col in enumerate(columns[2 * q:3 * q], 1):
-        rounds_run += 1
         for u, t in zip(active, col):
-            if plain[u] and plain[t]:
+            if not plain[u]:
+                t = strategy.choose_findmin_target(views[u], rnd, t)
+                if t is None:
+                    continue
+                _check_target(u, t, n)
+            if plain[t]:
                 if t != u:
                     bits = ce_bits[t]
                     pairs += 1
@@ -464,12 +443,9 @@ def run_trial(config: SimConfig, *, record: bool = True,
                         ce_min[u] = ce_min[t]
                         ce_bits[u] = bits
                         ce_ticket[u] = ce_ticket[t]
+                        if not plain[u]:
+                            views[u].ce_min = ce_min[u]
                 continue
-            if u in member_set:
-                t = strategy.choose_findmin_target(views[u], rnd, t)
-                if t is None:
-                    continue
-                _check_target(u, t, n)
             if t != u:
                 n_msgs += 1
                 n_bits += b_pull
@@ -477,21 +453,17 @@ def run_trial(config: SimConfig, *, record: bool = True,
                     messages.append((PHASE_FIND_MIN, rnd, u, t,
                                      "pull_request", b_pull))
             if t in faulty:
-                reply = None
-            elif t in member_set:
-                reply = strategy.findmin_reply(views[t], u, rnd, ce_min[t])
-                if reply is ce_min[t]:
-                    # every ce_min is an honest agent's certificate or
-                    # passed _check_cert, and certificates are frozen
-                    bits = ce_bits[t]
-                elif reply is not None:
-                    _check_cert(t, reply, params)
-                    bits = certificate_bits(reply, widths)
-            else:
-                reply = ce_min[t]
-                bits = ce_bits[t]
-            if reply is None:
                 continue  # no answer: keep the incumbent, no marking here
+            reply = strategy.findmin_reply(views[t], u, rnd, ce_min[t])
+            if reply is None:
+                continue
+            if reply is ce_min[t]:
+                # every ce_min is an honest agent's certificate or passed
+                # _check_cert, and certificates are frozen
+                bits = ce_bits[t]
+            else:
+                _check_cert(t, reply, params)
+                bits = certificate_bits(reply, widths)
             if t != u:
                 n_msgs += 1
                 n_bits += bits
@@ -503,7 +475,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 ce_min[u] = folded
                 ce_bits[u] = bits
                 ce_ticket[u] = folded.ticket
-                if u in member_set:
+                if not plain[u]:
                     views[u].ce_min = folded
     by_phase.append((PHASE_FIND_MIN, n_msgs + 2 * pairs,
                      n_bits + pairs * b_pull + pair_bits))
@@ -513,10 +485,9 @@ def run_trial(config: SimConfig, *, record: bool = True,
     n_msgs = 0
     n_bits = 0
     for rnd, col in enumerate(columns[3 * q:], 1):
-        rounds_run += 1
         inbox: list = []
         for u, target in zip(active, col):
-            if u in member_set:
+            if not plain[u]:
                 default = None if u in failures else ce_min[u]
                 cert = strategy.coherence_push(views[u], rnd, target, default)
                 if cert is None:
@@ -545,7 +516,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
             mine = ce_min[target]
             if cert is not mine and cert != mine:
                 failures[target] = rnd
-                if target in member_set:
+                if not plain[target]:
                     views[target].failed = True
     by_phase.append((PHASE_COHERENCE, n_msgs, n_bits))
 
@@ -567,7 +538,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
         else:
             res = verify_certificate(cert, ledgers[u], params)
             default = res.color if res.accepted else None
-        if u in member_set:
+        if not plain[u]:
             pick = strategy.final_decision(views[u], default)
             if pick is not None and (type(pick) is not int
                                      or not 1 <= pick <= params.num_colors):
@@ -605,7 +576,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     stats = MessageStats(
         messages=sum(msgs for _, msgs, _ in by_phase),
         bits=sum(bits for _, _, bits in by_phase),
-        rounds=rounds_run,
+        rounds=4 * q,     # every phase runs its q rounds
         by_phase=tuple(by_phase))
 
     return Trace(

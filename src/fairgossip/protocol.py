@@ -358,20 +358,21 @@ def _lane_words(seeds: Sequence[int], words: int, n: int,
     return words.view("<u4")[:, :count]
 
 
+def valid_vote(vote: object, params: Params) -> bool:
+    """Shape check for one (value, target) pair: a value in [0, m] and an
+    agent id."""
+    if not isinstance(vote, (tuple, list)) or len(vote) != 2:
+        return False
+    value, target = vote
+    return (type(value) is int and 0 <= value <= params.modulus
+            and type(target) is int and 1 <= target <= params.n)
+
+
 def valid_intention(decl: object, params: Params) -> bool:
     """Shape check for a declared vote list: q in-range (value, target) pairs."""
-    if not isinstance(decl, (tuple, list)) or len(decl) != params.phase_rounds:
-        return False
-    m, n = params.modulus, params.n
-    for pair in decl:
-        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-            return False
-        value, target = pair
-        if type(value) is not int or not 0 <= value <= m:
-            return False
-        if type(target) is not int or not 1 <= target <= n:
-            return False
-    return True
+    return (isinstance(decl, (tuple, list))
+            and len(decl) == params.phase_rounds
+            and all(valid_vote(pair, params) for pair in decl))
 
 
 class Ledger:

@@ -1,4 +1,5 @@
-"""The pair statistics of tools/bench_pairs.py, on made-up runs."""
+"""The pair statistics and line counts of tools/bench_pairs.py, on made-up
+runs and trees."""
 
 import importlib.util
 from pathlib import Path
@@ -62,3 +63,13 @@ def test_regression_past_the_bound_is_flagged():
     assert summary["metrics"]["rate"]["change_worse_by"] == pytest.approx(0.3)
     assert not summary["metrics"]["rate"]["within_bound"]
     assert not summary["metrics"]["ms"]["within_bound"]
+
+
+def test_source_lines_count_each_package_file(tmp_path):
+    package = tmp_path / "src" / "fairgossip"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not counted\n")
+    assert bench_pairs.source_lines(tmp_path) == {
+        "files": {"a.py": 2, "b.py": 1}, "total": 3}

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 
 import pytest
@@ -271,6 +272,23 @@ def test_scaling_subcommand(tmp_path):
     assert [r["n"] for r in rows[:-1]] == [8, 16]
     assert all(r["rounds"] == 4 * r["q"] for r in rows[:-1])
     assert rows[-1]["passed"] is True
+
+
+def test_scaling_reads_a_piped_config(tmp_path):
+    # a pipe can be read only once, so a second read would replace the
+    # file's values with the defaults (gamma 4, sizes 16,64,256)
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"gamma: 3\nsizes: [8, 16]\ntrials: 2\n")
+    os.close(write_end)
+    out = tmp_path / "scaling.jsonl"
+    try:
+        assert main(["scaling", "--config", f"/dev/fd/{read_end}",
+                     "--out", str(out)]) == 0
+    finally:
+        os.close(read_end)
+    rows = read_lines(out)
+    assert [r["n"] for r in rows[:-1]] == [8, 16]
+    assert (rows[-1]["gamma"], rows[-1]["trials"]) == (3.0, 2)
 
 
 def test_config_file_with_flag_overrides(tmp_path):

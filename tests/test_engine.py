@@ -20,14 +20,11 @@ from fairgossip.engine import (
     SimConfig,
     bit_widths,
     certificate_bits,
-    intention_reply_bits,
-    pull_request_bits,
     run_honest_trials,
     run_trial,
     trace_json_line,
     trace_to_dict,
     validate_config,
-    vote_push_bits,
 )
 from fairgossip.protocol import (
     Certificate,
@@ -110,16 +107,26 @@ def test_no_self_messages_and_phase_budget():
     assert all(rnd <= q for _, rnd, *_ in t.messages)
 
 
+def _logged_bits(trace):
+    """kind -> the set of payload sizes logged for that message kind."""
+    sizes = {}
+    for _, _, _, _, kind, bits in trace.messages:
+        sizes.setdefault(kind, set()).add(bits)
+    return sizes
+
+
 def test_bit_accounting_examples():
     # n=256: agent ids are one byte
-    w256 = bit_widths(derive_params(256, 4.0))
-    assert pull_request_bits(w256) == 8
+    t256 = run_trial(SimConfig(n=256, gamma=4.0, colors=(1,) * 256))
+    assert _logged_bits(t256)["pull_request"] == {8}
     # n=8, two colors: an empty certificate costs 9 + 1 + 3 bits
-    p8 = derive_params(8, 3.0)
-    w8 = bit_widths(p8)
+    w8 = bit_widths(derive_params(8, 3.0))
     assert certificate_bits(Certificate(0, (), 1, 1), w8) == 13
-    assert vote_push_bits(w8) == 9
-    assert intention_reply_bits(p8, w8) == 7 * (9 + 3)
+    sizes = _logged_bits(run_trial(SimConfig(n=8, gamma=3.0,
+                                             colors=(1, 2) * 4)))
+    assert sizes["vote_push"] == {9}
+    # q = 7 declared (value, target) pairs
+    assert sizes["intention_reply"] == {7 * (9 + 3)}
     # each claimed vote costs value + sender + round index
     assert (certificate_bits(Certificate(0, ((1, 2, 1),), 1, 1), w8)
             == 13 + 9 + 3 + 3)
@@ -501,6 +508,9 @@ BOUNDARY_CASES = [
           ("coherence_push", Certificate(0, ((1, True, 1),), 1, 2),
            "vote sender out of range"),
           ("final_decision", True, "bad decision True"),
+          # checked before any per-agent list is indexed by the target
+          ("choose_commit_target", -1, "bad pull target -1"),
+          ("choose_findmin_target", -1, "bad pull target -1"),
       ]),
     # the default certificate is built over the tally, so it is checked too
     *(("_test_tally_edit", {"entries": entries}, message)
@@ -521,6 +531,30 @@ def test_strategy_boundary_violations_raise():
         with pytest.raises(StrategyError,
                            match=rf"^member 2: {re.escape(message)}$"):
             run_trial(SimConfig(**base, coalition=coalition))
+
+
+@register
+class _CurrentViews(DeviationStrategy):
+    """Honest, but fails unless the engine kept ``view.ce_min`` current."""
+
+    name = "_test_current_views"
+
+    def findmin_reply(self, view, requester, round_index, default):
+        assert view.ce_min is default
+        return default
+
+    def coherence_push(self, view, round_index, target, default):
+        assert default is None or view.ce_min is default
+        return default
+
+
+@pytest.mark.parametrize("faulty", [frozenset(), frozenset({2, 7, 12})])
+def test_member_views_hold_the_current_certificate(faulty):
+    config = SimConfig(n=16, gamma=2.0, colors=HALF, faulty=faulty,
+                       coalition=CoalitionConfig(
+                           members=(1, 4), strategy="_test_current_views"))
+    for seed in range(30):
+        run_trial(replace(config, master_seed=seed), record=False)
 
 
 @register

@@ -19,6 +19,9 @@ bound in BENCHMARK.json. The claim holds when the change wins at least
 nine tenths of the pairs, its median beats the parent's by more than the
 parent's interquartile range, and no more of its ops fail.
 
+The output also holds each tree's line counts of src/fairgossip/*.py,
+per file and in total.
+
 Optional sections, each also run in both trees:
   --digest W=N     the output sha256 of ops 1..N of workload W at seed
                    S-1, one per op, through perfbench/worker.py's run_op;
@@ -197,6 +200,14 @@ print(json.dumps(out))
 """
 
 
+def source_lines(tree: Path) -> dict:
+    """Line counts of the tree's src/fairgossip/*.py, per file and in
+    total."""
+    files = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in sorted((tree / "src" / "fairgossip").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def run_json(cmd: list[str], cwd: Path, env: dict | None = None) -> dict:
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
                           text=True, check=True)
@@ -312,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
                    "relative distance of the change's median from the "
                    "parent's in the metric's worse direction"),
     }
+    doc["source_lines"] = {side: source_lines(trees[side]) for side in SIDES}
     pairs: dict[str, list[dict]] = {w: [] for w in seeds}
     for p in range(PAIRS):
         for workload, seed in seeds.items():
