@@ -277,10 +277,11 @@ class EquilibriumReport:
     per_member: tuple[MemberStat, ...]
 
     @property
-    def verdict(self) -> bool:
-        """True iff some member gained nothing (no-gain within CI)."""
-        if self.kept_pairs == 0:
-            return False
+    def verdict(self) -> Optional[bool]:
+        """True iff some member gained nothing (no-gain within CI); None
+        (indeterminate) below 2 kept pairs, which give no CI."""
+        if self.kept_pairs < 2:
+            return None
         return any(s.difference <= s.ci_half_width for s in self.per_member)
 
     def member_rows(self) -> list[dict]:

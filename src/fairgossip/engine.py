@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -27,10 +27,7 @@ from fairgossip.adversary import (
 )
 from fairgossip.protocol import (
     BAD_CHECKSUM,
-    MARKED_VOTER_NONZERO,
-    NO_REPLY_MARK,
     STRATEGY_STREAM_TAG,
-    VOTE_MISMATCH,
     Certificate,
     ConfigError,
     Ledger,
@@ -47,6 +44,7 @@ from fairgossip.protocol import (
     valid_intention,
     valid_vote,
     verify_certificate,
+    vote_flaw,
     vote_sum,
 )
 
@@ -524,7 +522,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # Honest agents audit each distinct certificate once (see _audit); a
     # member verifies against its own ledger, which its strategy can see.
     decisions: dict[int, Optional[int]] = {}
-    audits: dict[int, Optional[_Audit]] = {}
+    audits: dict[int, Optional[tuple]] = {}
     for u in active:
         cert = ce_min[u]
         if u in failures:
@@ -615,70 +613,46 @@ def _check_cert(u: int, cert: object, params: Params) -> None:
         raise StrategyError(f"member {u}: {flaw}")
 
 
-class _Audit(NamedTuple):
-    """What an honest verifier's check of one certificate needs beyond
-    its own member entries (see ``_audit``)."""
-    owner: int
-    bad: dict[int, tuple[int, str]]   # sender -> (vote index, reason)
-    member_votes: list[tuple[int, int, int, int]]  # (index, value, sender, round)
-
-
 def _audit(cert: Certificate, modulus: int, intentions: list,
-           plain: list, member_set: frozenset) -> Optional[_Audit]:
+           plain: list, member_set: frozenset) -> Optional[tuple]:
     """The part of ``verify_certificate`` that is the same for every honest
-    verifier, or None for a bad checksum.
+    verifier: None for a bad checksum, else ``(owner, checks)``.
 
     An honest agent's ledger can hold only ``intentions[s]`` for an honest
-    non-member sender s and a None mark for a faulty one, so for those
-    senders it is enough to know which votes contradict that one possible
-    entry: ``bad`` maps each such sender to the index of its first
-    contradicting vote and the reason ``verify_certificate`` gives there.
-    Member votes are kept in order, to be checked against each verifier's
-    own entries by ``_rejection``."""
-    votes = cert.votes
-    if cert.ticket != vote_sum(votes, modulus):
+    non-member sender s and a None mark for a faulty one, so such a vote
+    can fail only with its ``vote_flaw`` against that one possible entry.
+    ``checks`` lists, in certificate order, each such failing vote with
+    its reason and every member vote with reason None, as (sender, value,
+    round, reason); ``_rejection`` checks those against each verifier's
+    own entries."""
+    if cert.ticket != vote_sum(cert.votes, modulus):
         return None
     owner = cert.owner
-    bad: dict[int, tuple[int, str]] = {}
-    member_votes = []
-    for i, (value, sender, rnd) in enumerate(votes):
+    checks = []
+    for value, sender, rnd in cert.votes:
         if sender in member_set:
-            member_votes.append((i, value, sender, rnd))
-        elif sender in bad:
-            continue
-        elif plain[sender]:
-            declared_value, declared_target = intentions[sender][rnd - 1]
-            if declared_target != owner or declared_value != value:
-                bad[sender] = (i, VOTE_MISMATCH)
-        elif value != NO_REPLY_MARK:
-            bad[sender] = (i, MARKED_VOTER_NONZERO)
-    return _Audit(owner, bad, member_votes)
+            checks.append((sender, value, rnd, None))
+        else:
+            flaw = vote_flaw(intentions[sender] if plain[sender] else None,
+                             value, rnd, owner)
+            if flaw:
+                checks.append((sender, value, rnd, flaw))
+    return owner, checks
 
 
-def _rejection(audit: Optional[_Audit],
-               declarations: dict) -> Optional[str]:
+def _rejection(audit: Optional[tuple], declarations: dict) -> Optional[str]:
     """The reason ``verify_certificate`` gives for rejecting the audited
     certificate against an honest verifier's ledger ``declarations``, or
-    None if it accepts."""
+    None if it accepts: the first failing check whose sender it pulled."""
     if audit is None:
         return BAD_CHECKSUM
-    owner, bad, member_votes = audit
-    first = min((bad[s] for s in bad.keys() & declarations.keys()),
-                default=None) if bad else None
-    for i, value, sender, rnd in member_votes:
-        if first is not None and i > first[0]:
-            break
-        if sender not in declarations:
-            continue
-        decl = declarations[sender]
-        if decl is None:
-            if value != NO_REPLY_MARK:
-                return MARKED_VOTER_NONZERO
-        else:
-            declared_value, declared_target = decl[rnd - 1]
-            if declared_target != owner or declared_value != value:
-                return VOTE_MISMATCH
-    return None if first is None else first[1]
+    owner, checks = audit
+    for sender, value, rnd, flaw in checks:
+        if sender in declarations:
+            flaw = flaw or vote_flaw(declarations[sender], value, rnd, owner)
+            if flaw:
+                return flaw
+    return None
 
 
 def _classify(params, calibration, active, sizes, pulls, votes, tickets,

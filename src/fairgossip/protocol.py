@@ -395,9 +395,6 @@ class Ledger:
         return frozenset(v for v, d in self.declarations.items() if d is None)
 
 
-_UNSEEN = object()
-
-
 def record_commitment(ledger: Ledger, voter: AgentId, reply: object,
                       params: Params) -> Optional[tuple]:
     """File a pull answer, a declared vote list or a no-reply mark, and
@@ -496,32 +493,35 @@ VOTE_MISMATCH = "vote_mismatch"
 MARKED_VOTER_NONZERO = "marked_voter_nonzero"
 
 
+def vote_flaw(entry: Optional[tuple], value: int, rnd: int,
+              owner: AgentId) -> Optional[str]:
+    """Why a claimed vote ``value`` in round ``rnd`` of a certificate owned
+    by ``owner`` contradicts its sender's ledger ``entry``, or None if it
+    does not: a None entry (a no-reply mark) needs value 0, and a declared
+    list must hold (value, owner) at round ``rnd``."""
+    if entry is None:
+        return None if value == NO_REPLY_MARK else MARKED_VOTER_NONZERO
+    return None if entry[rnd - 1] == (value, owner) else VOTE_MISMATCH
+
+
 def verify_certificate(cert: Certificate, ledger: Ledger,
                        params: Params) -> VerifyResult:
     """Audit a winning certificate against one agent's own ledger.
 
     Accepts iff (i) the ticket equals the claimed votes' sum mod modulus and
-    (ii) every claimed vote whose sender this agent pulled matches what that
-    sender declared: the declared target must be the certificate owner and
-    the declared value must equal the claimed value; a vote attributed to a
-    marked (silent) voter must be 0. Votes from senders this agent never
-    pulled cannot be cross-checked and pass by default.
+    (ii) no claimed vote whose sender this agent pulled has a ``vote_flaw``
+    against that sender's entry. Votes from senders this agent never pulled
+    cannot be cross-checked and pass by default.
     """
     if cert.ticket != vote_sum(cert.votes, params.modulus):
         return VerifyResult(False, None, BAD_CHECKSUM)
     declarations = ledger.declarations
     owner = cert.owner
     for value, sender, rnd in cert.votes:
-        decl = declarations.get(sender, _UNSEEN)
-        if decl is _UNSEEN:
-            continue
-        if decl is None:
-            if value != NO_REPLY_MARK:
-                return VerifyResult(False, None, MARKED_VOTER_NONZERO)
-            continue
-        declared_value, declared_target = decl[rnd - 1]
-        if declared_target != owner or declared_value != value:
-            return VerifyResult(False, None, VOTE_MISMATCH)
+        if sender in declarations:
+            flaw = vote_flaw(declarations[sender], value, rnd, owner)
+            if flaw:
+                return VerifyResult(False, None, flaw)
     return VerifyResult(True, cert.color, None)
 
 

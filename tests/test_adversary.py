@@ -40,6 +40,15 @@ def test_builtin_registry():
     assert STRATEGIES["honest"] is DeviationStrategy
 
 
+def test_duplicate_strategy_name_rejected():
+    class Again(DeviationStrategy):
+        name = "k_underbid"
+
+    with pytest.raises(ValueError, match="duplicate strategy name"):
+        register(Again)
+    assert STRATEGIES["k_underbid"] is not Again
+
+
 def test_unknown_option_rejected():
     with pytest.raises(ConfigError):
         run16(0, coalition([5], "k_underbid", zeal=3))

@@ -86,6 +86,22 @@ def test_fabricated_winner_sets_e_c_prime_only():
     assert t.outcome is None
 
 
+def test_k_star_skips_a_member_with_no_first_declaration():
+    # a fake_faulty member answers no pull, so no honest agent pinned its
+    # votes down: they count towards nobody's k*
+    cfg = SimConfig(n=5, gamma=1.0, colors=(1, 2, 1, 2, 1), master_seed=11,
+                    coalition=CoalitionConfig(members=(2,),
+                                              strategy="fake_faulty"))
+    t = run_trial(cfg)
+    assert t.first_declarations.get(2) is None
+    rec = legitimate_winner(t)
+    m = t.params.modulus
+    for u in rec.k_star:
+        assert rec.k_star[u] == sum(
+            value for v in (1, 3, 4, 5)
+            for value, target in t.intentions[v] if target == u) % m
+
+
 def test_record_serializes():
     t = run_trial(underbid_config(0))
     doc = legitimate_winner(t).to_dict()
@@ -177,6 +193,7 @@ def test_fairness_indeterminate_without_successes():
                          active_share={1: 0.5, 2: 0.5})
     assert fairness_test(rep).passed is None
     assert not fairness_test(rep).fail_rate_ok
+    assert winner_uniformity_test(rep) == (False, math.inf, 0.0)
 
 
 def test_uniformity_rejects_dictator():
@@ -224,6 +241,19 @@ def test_k_underbid_never_pays():
     (s2,) = rep2.per_member
     assert round(s2.difference, 4) == -0.5625
     assert rep2.verdict
+
+
+@pytest.mark.parametrize("seed0, kept", [(0, 0), (15, 1)])
+def test_no_gain_verdict_is_indeterminate_below_two_kept_pairs(seed0, kept):
+    # one kept pair gives no CI and none gives no difference: neither
+    # can show a gain or its absence
+    cfg = SimConfig(n=16, gamma=2.0, colors=HALF16,
+                    coalition=CoalitionConfig(members=(2, 5),
+                                              strategy="coherence_silence"))
+    rep = run_equilibrium_experiment(cfg, 5, seed0)
+    assert rep.kept_pairs == kept
+    assert rep.verdict is None
+    assert rep.to_dict()["verdict_no_gain"] is None
 
 
 def test_poisoned_cache_is_believed():
@@ -317,6 +347,19 @@ def test_claims_audit_under_attack_conditions_out_aborts():
     assert rep.claim1_violations == 0
     assert rep.claim3_passed is None and rep.claim4_passed is None
     assert rep.passed
+
+
+def test_claims_audit_counts_a_claim1_violation():
+    t = next(t for t in (run_trial(SimConfig(n=16, gamma=2.0, colors=HALF16,
+                                             master_seed=s), record=False)
+                         for s in range(20))
+             if t.outcome is not None)
+    aud = ClaimsAuditor()
+    aud.add(t)
+    assert (aud.claim1_checked, aud.claim1_violations) == (1, 0)
+    aud.add(dataclasses.replace(t, winner=t.winner % 16 + 1))
+    assert (aud.claim1_checked, aud.claim1_violations) == (2, 1)
+    assert not aud.report().passed
 
 
 def test_auditor_rejects_mixed_configs():

@@ -65,6 +65,24 @@ def test_regression_past_the_bound_is_flagged():
     assert not summary["metrics"]["ms"]["within_bound"]
 
 
+def test_ratio_interval_is_the_sign_test_order_statistics():
+    parent = [100] * 10
+    change = [95, 103, 99, 101, 90, 104, 98, 102, 97, 100]
+    summary = bench_pairs.summarize("w", _pairs(parent, change), METRICS)
+    rate = summary["metrics"]["rate"]
+    assert rate["ratio_median"] == pytest.approx(0.995)
+    # r(2) and r(9) of the ten sorted ratios, 1 - 2 * 11/1024 coverage
+    assert rate["ratio_interval"] == pytest.approx([0.95, 1.03])
+    assert rate["ratio_interval_coverage"] == pytest.approx(1 - 22 / 1024)
+    assert summary["metrics"]["ms"]["ratio_interval"] == pytest.approx(
+        [100 / 103, 100 / 95])
+    assert bench_pairs.ratio_interval([1.0] * 6) == ([1.0, 1.0], 1 - 2 / 64)
+    short = bench_pairs.summarize("w", _pairs(parent[:5], change[:5]),
+                                  METRICS)
+    assert short["metrics"]["rate"]["ratio_interval"] is None
+    assert short["metrics"]["rate"]["ratio_interval_coverage"] is None
+
+
 def test_source_lines_count_each_package_file(tmp_path):
     package = tmp_path / "src" / "fairgossip"
     package.mkdir(parents=True)

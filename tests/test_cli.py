@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import os
+import platform
 import re
 
 import pytest
@@ -356,6 +357,7 @@ def test_write_failure_reports_path(tmp_path, capsys):
     ["scaling", "--sizes", "8", "--trials", "1", "--coalition", "1",
      "--strategy", "k_underbid"],
     ["scaling", "--sizes", "8", "--trials", "1", "--faulty", "2,3"],
+    ["run", "--n", "8", "--coalition", "1", "--option", "foo"],
 ], ids=" ".join)
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
@@ -384,6 +386,49 @@ def test_config_file_booleans_exit_two_with_one_line(doc, tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--seed", "8"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_empty_config_file_reads_as_no_keys(tmp_path):
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text("")
+    flags = ["--n", "4", "--gamma", "1", "--seed", "3"]
+    assert main(["run", *flags, "--out", str(tmp_path / "a.jsonl")]) == 0
+    assert main(["run", "--config", str(cfg), *flags,
+                 "--out", str(tmp_path / "b.jsonl")]) == 0
+    assert (tmp_path / "a.jsonl").read_bytes() \
+        == (tmp_path / "b.jsonl").read_bytes()
+
+
+def test_config_file_that_is_a_list_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "list.yaml"
+    cfg.write_text("- n: 8\n- gamma: 2\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: config file {cfg}: expected a " \
+                  "key-value map\n"
+
+
+def test_impossible_allocation_exits_two_with_one_line(tmp_path, capsys):
+    # numpy refuses the 1.92 PiB draw at once: nothing is allocated
+    assert main(["run", "--n", "64", "--gamma", "1e12",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory:") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mallopt is glibc's")
+def test_repeated_runs_fault_no_freed_memory_back_in(tmp_path):
+    # main fixes glibc's thresholds, so one run's freed numpy temporaries
+    # serve the next run instead of going back to the system
+    import resource
+    argv = ["fairness", "--n", "64", "--gamma", "4", "--trials", "16",
+            "--out", str(tmp_path / "f.jsonl")]
+    main(argv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        main(argv)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 300
 
 
 def test_no_subcommand_is_usage_error():

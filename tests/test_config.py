@@ -94,6 +94,8 @@ def test_calibration_resolution():
     assert resolve_calibration({"beta2": 5.0}) == Calibration(beta2=5.0)
     with pytest.raises(ConfigError):
         resolve_calibration({"beta3": 1.0})
+    given = Calibration(beta1=0.5, beta2=3.0)
+    assert resolve_calibration(given) is given
 
 
 # --- parse_config -------------------------------------------------------------
@@ -175,6 +177,8 @@ def test_calibration_from_document():
     # an on/off option takes a YAML boolean, not a string that reads as one
     {"n": 8, "coalition": {"members": [1], "strategy": "commitment_mismatch",
                            "options": {"equivocate": "false"}}},
+    {"n": 8, "colors": 3},
+    {"n": 8, "sizes": 5},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):

@@ -178,9 +178,10 @@ CLI_DIGESTS = {
     "attack --n 16 --gamma 2 --coalition 5 --strategy fake_faulty "
     "--trials 10":
         "ab57d351f87850c31006d824d3c6ffe114a4cd46eea5db6943475158185bdef3",
+    # keeps no pair: "verdict_no_gain": null, verdict indeterminate
     "attack --n 16 --gamma 2 --coalition 2,5 --strategy coherence_silence "
     "--option victims=[1,3,4] --trials 10":
-        "8b39daa38493acb0c35aea68118a233e5567732cdfea2b73d10e00271f10a27e",
+        "c99ca3a03259506767b42bae313fc79afe06d99392087a9e2d6ede60f9778f92",
     "claims --n 16 --gamma 2 --coalition 1,5 --trials 30":
         "cc0c65c83fe20942abf7974905056528a356c1e10807758e5f564e9a5e26267d",
     "claims --n 32 --gamma 3 --colors 16x1,16x2 --coalition 1,17 "

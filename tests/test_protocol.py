@@ -26,6 +26,7 @@ from fairgossip.protocol import (
     record_commitment,
     valid_intention,
     verify_certificate,
+    vote_flaw,
     vote_sum,
 )
 
@@ -281,6 +282,8 @@ def test_certificate_flaw_catches_duplicates_and_ranges():
     assert certificate_flaw(Certificate(0, (), 1, 5), P4) == "owner out of range"
     assert certificate_flaw(Certificate(0, ((1, 2, 3),), 1, 1), P4) == "vote round out of range"
     assert certificate_flaw("junk", P4) == "not a certificate"
+    assert certificate_flaw(Certificate(0, [], 1, 1), P4) == "votes not a tuple"
+    assert certificate_flaw(Certificate(1, ((1, 2),), 1, 1), P4) == "malformed vote entry"
     # a bool is an int to isinstance, but no wire field carries one
     for cert, flaw in [
             (Certificate(False, (), 1, 1), "ticket out of range"),
@@ -300,6 +303,19 @@ def test_min_certificate_strict_less_keeps_incumbent_on_tie():
     assert min_certificate(high, low) is low
     assert min_certificate(low, tie) is low   # tie: incumbent survives
     assert min_certificate(tie, low) is tie
+
+
+@pytest.mark.parametrize("entry, value, rnd, owner, flaw", [
+    (None, 0, 1, 1, None),                      # a mark claims 0
+    (None, 7, 1, 1, MARKED_VOTER_NONZERO),
+    (((10, 1), (5, 3)), 5, 2, 3, None),         # as declared
+    (((10, 1), (5, 3)), 6, 2, 3, VOTE_MISMATCH),  # wrong value
+    (((10, 1), (5, 3)), 5, 2, 1, VOTE_MISMATCH),  # sent to another owner
+    (((10, 1), (5, 3)), 10, 2, 1, VOTE_MISMATCH),  # round 1's vote
+], ids=["mark-zero", "mark-nonzero", "match", "wrong-value", "wrong-target",
+        "wrong-round"])
+def test_vote_flaw(entry, value, rnd, owner, flaw):
+    assert vote_flaw(entry, value, rnd, owner) == flaw
 
 
 def _ledger_with(entries):

@@ -15,9 +15,11 @@ the parent first on even pairs, and the workloads take turns within a
 pair. For each end-to-end metric this reports the median and
 quartiles per side, the pairs the change won, and how far the change's
 median is from the parent's in the metric's worse direction against the
-bound in BENCHMARK.json. The claim holds when the change wins at least
-nine tenths of the pairs, its median beats the parent's by more than the
-parent's interquartile range, and no more of its ops fail.
+bound in BENCHMARK.json, and the median of the per-pair change/parent
+ratios with a sign-test interval around it (reported, not judged). The
+claim holds when the change wins at least nine tenths of the pairs, its
+median beats the parent's by more than the parent's interquartile range,
+and no more of its ops fail.
 
 The output also holds each tree's line counts of src/fairgossip/*.py,
 per file and in total.
@@ -103,6 +105,23 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def ratio_interval(ratios: list[float]) -> tuple[list[float], float] | None:
+    """Sign-test interval for the median of per-pair change/parent ratios,
+    and its coverage: [r(k), r(P+1-k)] of the P sorted ratios, k the
+    largest with 2 P(Bin(P, 1/2) <= k-1) <= 0.05 (for 10 pairs,
+    [r(2), r(9)] at 97.9%). None below 6 pairs, where no k qualifies."""
+    pairs = len(ratios)
+    k = 0
+    while 2 * sum(math.comb(pairs, i) for i in range(k + 1)) \
+            <= 0.05 * 2 ** pairs:
+        k += 1
+    if k == 0:
+        return None
+    r = sorted(ratios)
+    tail = sum(math.comb(pairs, i) for i in range(k)) / 2 ** pairs
+    return [r[k - 1], r[pairs - k]], 1 - 2 * tail
+
+
 def summarize(workload: str, pairs: list[dict], metrics: list[dict]) -> dict:
     summary: dict = {"workload": workload, "pairs": len(pairs), "metrics": {}}
     for metric in metrics:
@@ -113,11 +132,15 @@ def summarize(workload: str, pairs: list[dict], metrics: list[dict]) -> dict:
                     for p, c in zip(side["parent"], side["change"]))
         worse_by = (med["parent"] - med["change"] if higher
                     else med["change"] - med["parent"]) / med["parent"]
+        ratios = [c / p for p, c in zip(side["parent"], side["change"])]
+        interval, coverage = ratio_interval(ratios) or (None, None)
         summary["metrics"][name] = {
             "parent_median": med["parent"], "change_median": med["change"],
             "parent_iqr": quartiles(side["parent"]),
             "change_iqr": quartiles(side["change"]),
             "change_ahead_pairs": ahead, "change_worse_by": worse_by,
+            "ratio_median": statistics.median(ratios),
+            "ratio_interval": interval, "ratio_interval_coverage": coverage,
             "bound": metric["bound"],
             "within_bound": worse_by <= metric["bound"]}
     for key in ("failed", "attempted"):
