@@ -28,7 +28,6 @@ import numpy as np
 from fairgossip.protocol import (
     Certificate,
     ConfigError,
-    Ledger,
     Params,
     vote_sum,
 )
@@ -45,14 +44,17 @@ class MemberView:
     ``intention`` is the member's honest draw; ``chosen_intention`` is what
     it actually casts (set after the intention hook runs). ``tally``,
     ``ledger`` and ``ce_min`` are live references kept current by the
-    engine; ``own_cert`` is the honest certificate over the actual tally.
+    engine; ``ledger`` is the very dict the member verifies against, in
+    ``record_commitment``'s format (voter -> declared pairs, or None for a
+    no-reply mark). ``own_cert`` is the honest certificate over the actual
+    tally.
     """
 
     id: int
     color: int
     intention: Optional[tuple] = None
     chosen_intention: Optional[tuple] = None
-    ledger: Optional[Ledger] = None
+    ledger: Optional[dict] = None
     tally: Optional[list] = None
     own_cert: Optional[Certificate] = None
     declared_cert: Optional[Certificate] = None

@@ -254,11 +254,14 @@ def winner_uniformity_test(report: FairnessReport,
 # --- equilibrium ------------------------------------------------------------
 
 class MemberStat(NamedTuple):
+    """A member's mean utilities over the kept pairs: None with no kept
+    pair, and ``ci_half_width`` None below 2 kept pairs."""
+
     member: int
-    baseline_mean: float
-    deviation_mean: float
-    difference: float             # deviation - baseline, paired
-    ci_half_width: float
+    baseline_mean: Optional[float]
+    deviation_mean: Optional[float]
+    difference: Optional[float]   # deviation - baseline, paired
+    ci_half_width: Optional[float]
 
 
 @dataclass(slots=True)
@@ -371,13 +374,16 @@ def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
     kept = len(diffs[members[0]])
     per_member = []
     for w in members:
-        bmean = fmean(base_util[w]) if kept else 0.0
-        dmean = fmean(diffs[w]) if kept else 0.0
-        sd = stdev(diffs[w]) if kept >= 2 else 0.0
+        if not kept:
+            per_member.append(MemberStat(w, None, None, None, None))
+            continue
+        bmean = fmean(base_util[w])
+        dmean = fmean(diffs[w])
+        ci = (sigma_mult * stdev(diffs[w]) / math.sqrt(kept) if kept >= 2
+              else None)
         per_member.append(MemberStat(
             member=w, baseline_mean=bmean, deviation_mean=bmean + dmean,
-            difference=dmean,
-            ci_half_width=sigma_mult * sd / math.sqrt(kept) if kept else 0.0))
+            difference=dmean, ci_half_width=ci))
     return EquilibriumReport(
         strategy=config.coalition.strategy, members=members, trials=trials,
         kept_pairs=kept, dropped_pairs=trials - kept,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import json
 import os
 import sys
@@ -37,20 +36,6 @@ OUT_DIR_ENV = "FAIRGOSSIP_OUT"
 
 
 # --- plumbing ---------------------------------------------------------------
-
-@cache
-def _keep_freed_memory() -> None:
-    """Fix glibc's mmap and trim thresholds (M_MMAP_THRESHOLD = -3 and
-    M_TRIM_THRESHOLD = -1 in malloc.h) at 32 and 64 MB. With its adaptive
-    defaults, whether the few MB of numpy temporaries of a chunk of trials
-    go back to the system, to be faulted in again by the next chunk,
-    depends on the heap's layout. Does nothing where there is no mallopt."""
-    libc = ctypes.CDLL(None) if os.name == "posix" else None
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is not None:
-        mallopt(-3, 32 << 20)
-        mallopt(-1, 64 << 20)
-
 
 def _load_doc(path: Optional[str]) -> dict:
     if path is None:
@@ -385,7 +370,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not hasattr(args, "func"):
         parser.print_help(file=sys.stderr)
         return 2
-    _keep_freed_memory()
     try:
         return args.func(args)
     except ConfigError as exc:

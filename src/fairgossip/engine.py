@@ -30,7 +30,6 @@ from fairgossip.protocol import (
     STRATEGY_STREAM_TAG,
     Certificate,
     ConfigError,
-    Ledger,
     Params,
     certificate_flaw,
     derive_params,
@@ -263,10 +262,10 @@ def run_trial(config: SimConfig, *, record: bool = True,
             options=dict(coalition.options),
             rng=derive_stream(seed, STRATEGY_STREAM_TAG))
         strategy = make_strategy(coalition.strategy, ctx)
+        views = ctx.views
         for b in members:
-            views[b] = view = MemberView(id=b, color=colors[b - 1],
-                                         intention=intentions[b])
-            ctx.views[b] = view
+            views[b] = MemberView(id=b, color=colors[b - 1],
+                                  intention=intentions[b])
         for b in members:
             view = views[b]
             pick = strategy.choose_intention(view, intentions[b])
@@ -283,13 +282,11 @@ def run_trial(config: SimConfig, *, record: bool = True,
     by_phase: list = []     # (phase, messages, bits), appended as each ends
 
     # --- commitment: q rounds of pulling vote declarations ---------------
-    ledgers: list = [None] * (n + 1)
-    declared: list = [None] * (n + 1)     # ledgers[u].declarations
+    declared: list = [None] * (n + 1)     # each active agent's ledger
     for u in active:
-        ledgers[u] = Ledger()
-        declared[u] = ledgers[u].declarations
+        declared[u] = {}
     for b in members:
-        views[b].ledger = ledgers[b]
+        views[b].ledger = declared[b]
     coalition_pulled: set[int] = set()
     first_declarations: dict[int, Optional[tuple]] = {}
     # member replies that need no check, by id: each member's chosen
@@ -335,7 +332,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 # no-reply mark, as record_commitment would
                 declared[u][t] = filed = reply
             else:
-                filed = record_commitment(ledgers[u], t, reply, params)
+                filed = record_commitment(declared[u], t, reply, params)
                 if filed is not None and type(reply) is tuple and all(
                         type(pair) is tuple for pair in reply):
                     # tuples all the way down to the checked ints, so the
@@ -534,7 +531,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
             default = (None if _rejection(audits[key], declared[u])
                        else cert.color)
         else:
-            res = verify_certificate(cert, ledgers[u], params)
+            res = verify_certificate(cert, declared[u], params)
             default = res.color if res.accepted else None
         if not plain[u]:
             pick = strategy.final_decision(views[u], default)
@@ -586,7 +583,8 @@ def run_trial(config: SimConfig, *, record: bool = True,
         tickets=tickets,
         tally_sizes=tally_sizes,
         cert_min={u: ce_min[u] for u in active},
-        faulty_marks={u: tuple(sorted(ledgers[u].faulty_marks))
+        faulty_marks={u: tuple(sorted(v for v, d in declared[u].items()
+                                      if d is None))
                       for u in active},
         coalition_pulled=frozenset(coalition_pulled),
         failures=failures,

@@ -32,7 +32,7 @@ import numpy as np
 AgentId = int  # 1-based
 Color = int    # 1-based; the decision domain is {1, .., num_colors}
 
-#: Ledger value standing in for every vote of a voter that failed to answer.
+#: The value every vote of a voter marked as silent in a ledger must claim.
 NO_REPLY_MARK = 0
 
 # Derived-stream tags for non-agent draws. Agent streams use the agent id
@@ -375,38 +375,22 @@ def valid_intention(decl: object, params: Params) -> bool:
             and all(valid_vote(pair, params) for pair in decl))
 
 
-class Ledger:
-    """One agent's record of everybody who answered (or ignored) its pulls.
-
-    ``declarations`` maps voter id -> tuple of q (value, target) pairs, or
-    None for a voter that failed to answer; a None entry stands for "all q
-    votes of this voter are 0". Re-recording a voter overwrites: an honest
-    voter always declares the same list, so for it the operation is
-    idempotent.
-    """
-
-    __slots__ = ("declarations",)
-
-    def __init__(self) -> None:
-        self.declarations: dict[int, Optional[tuple]] = {}
-
-    @property
-    def faulty_marks(self) -> frozenset[AgentId]:
-        return frozenset(v for v, d in self.declarations.items() if d is None)
-
-
-def record_commitment(ledger: Ledger, voter: AgentId, reply: object,
+def record_commitment(ledger: dict, voter: AgentId, reply: object,
                       params: Params) -> Optional[tuple]:
-    """File a pull answer, a declared vote list or a no-reply mark, and
-    return what was filed: the canonical tuple of pairs, or None.
+    """File a pull answer in ``ledger`` and return what was filed.
 
-    A missing or malformed reply is indistinguishable from silence to the
-    puller, so both record the mark.
+    An agent's ledger is a dict: voter id -> the tuple of q (value, target)
+    pairs it declared, or None, the no-reply mark, for a voter that failed
+    to answer; a mark stands for "all q votes of this voter are 0". A
+    missing or malformed reply is indistinguishable from silence to the
+    puller, so both file the mark. Re-recording a voter overwrites: an
+    honest voter always declares the same list, so for it the operation is
+    idempotent.
     """
     filed = None
     if reply is not None and valid_intention(reply, params):
         filed = tuple((int(v), int(t)) for v, t in reply)
-    ledger.declarations[voter] = filed
+    ledger[voter] = filed
     return filed
 
 
@@ -504,7 +488,7 @@ def vote_flaw(entry: Optional[tuple], value: int, rnd: int,
     return None if entry[rnd - 1] == (value, owner) else VOTE_MISMATCH
 
 
-def verify_certificate(cert: Certificate, ledger: Ledger,
+def verify_certificate(cert: Certificate, ledger: dict,
                        params: Params) -> VerifyResult:
     """Audit a winning certificate against one agent's own ledger.
 
@@ -515,11 +499,10 @@ def verify_certificate(cert: Certificate, ledger: Ledger,
     """
     if cert.ticket != vote_sum(cert.votes, params.modulus):
         return VerifyResult(False, None, BAD_CHECKSUM)
-    declarations = ledger.declarations
     owner = cert.owner
     for value, sender, rnd in cert.votes:
-        if sender in declarations:
-            flaw = vote_flaw(declarations[sender], value, rnd, owner)
+        if sender in ledger:
+            flaw = vote_flaw(ledger[sender], value, rnd, owner)
             if flaw:
                 return VerifyResult(False, None, flaw)
     return VerifyResult(True, cert.color, None)

@@ -5,6 +5,10 @@ equilibrium comparisons, claims audits, and the scaling table."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from fairgossip.analysis import (
     scaling_experiment,
     winner_uniformity_test,
 )
+import fairgossip
 from fairgossip import engine
 from fairgossip.engine import (
     CoalitionConfig,
@@ -180,6 +185,32 @@ def _hand_report(wins1, trials=10000):
                           active_share={1: 0.5, 2: 0.5})
 
 
+# Ten repeated fairness runs in one fresh process, by a caller that never
+# calls cli.main; prints the minor page faults they took.
+REPEATED_RUNS = """
+import resource
+from fairgossip.analysis import run_fairness_experiment
+from fairgossip.engine import SimConfig
+config = SimConfig(n=64, gamma=4.0, colors=(1,) * 32 + (2,) * 32)
+run_fairness_experiment(config, 16)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    run_fairness_experiment(config, 16)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_library_callers_fault_no_freed_memory_back_in():
+    # importing fairgossip fixes glibc's thresholds, so a library caller's
+    # freed numpy temporaries serve its next run too (about 3,200 faults
+    # with the adaptive thresholds)
+    src = str(Path(fairgossip.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", REPEATED_RUNS], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 300
+
+
 def test_fairness_test_tolerance_edges():
     assert fairness_test(_hand_report(5000)).passed           # freq == p
     assert not fairness_test(_hand_report(5500)).passed       # p + 10 sigma
@@ -254,6 +285,16 @@ def test_no_gain_verdict_is_indeterminate_below_two_kept_pairs(seed0, kept):
     assert rep.kept_pairs == kept
     assert rep.verdict is None
     assert rep.to_dict()["verdict_no_gain"] is None
+    # and neither has a CI; with no pair the means are undefined too
+    for s in rep.per_member:
+        assert s.ci_half_width is None
+        means = (s.baseline_mean, s.deviation_mean, s.difference)
+        if kept:
+            assert all(type(x) is float for x in means)
+        else:
+            assert means == (None, None, None)
+    for row in rep.to_dict()["per_member"]:
+        assert row["ci_half_width"] is None
 
 
 def test_poisoned_cache_is_believed():

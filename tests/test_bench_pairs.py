@@ -1,5 +1,5 @@
-"""The pair statistics and line counts of tools/bench_pairs.py, on made-up
-runs and trees."""
+"""The pair statistics, line counts and op digests of tools/bench_pairs.py,
+on made-up runs and trees."""
 
 import importlib.util
 from pathlib import Path
@@ -91,3 +91,44 @@ def test_source_lines_count_each_package_file(tmp_path):
     (package / "notes.txt").write_text("not counted\n")
     assert bench_pairs.source_lines(tmp_path) == {
         "files": {"a.py": 2, "b.py": 1}, "total": 3}
+
+
+# A stand-in for perfbench/worker.py: each op writes PAGES fresh pages of
+# an anonymous mapping, so it takes at least that many minor faults.
+STUB_WORKER = """
+import hashlib, mmap
+from types import SimpleNamespace
+PAGES = {pages}
+WORKLOADS = {{"w": None}}
+def load_package():
+    return None
+def base_seed(workload, seed):
+    return seed
+def run_op(w, fg, k, base, out):
+    if PAGES:
+        size = PAGES * mmap.PAGESIZE
+        with mmap.mmap(-1, size) as m:
+            for page in range(0, size, mmap.PAGESIZE):
+                m[page] = 1
+    sha = hashlib.sha256(str(base + k).encode()).hexdigest()
+    return SimpleNamespace(sha256=sha, error=None)
+def digest(results):
+    return hashlib.sha256("".join(r.sha256 for r in results).encode()
+                          ).hexdigest()
+"""
+
+
+def test_digests_report_page_faults_per_op(tmp_path):
+    trees = {}
+    for side, pages in (("parent", 0), ("change", 512)):
+        trees[side] = tmp_path / side
+        (trees[side] / "perfbench").mkdir(parents=True)
+        (trees[side] / "perfbench" / "worker.py").write_text(
+            STUB_WORKER.format(pages=pages))
+    doc = bench_pairs.digests(trees, "w", 7, 5)
+    assert doc["equal_ops"] == 5
+    assert doc["parent"]["digest"] == doc["change"]["digest"]
+    assert doc["parent"]["failed"] == doc["change"]["failed"] == 0
+    faults = {side: doc[side]["minflt_per_op"] for side in trees}
+    assert faults["parent"]["median"] < 64
+    assert min(faults["change"].values()) >= 512

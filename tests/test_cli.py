@@ -419,8 +419,9 @@ def test_impossible_allocation_exits_two_with_one_line(tmp_path, capsys):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="mallopt is glibc's")
 def test_repeated_runs_fault_no_freed_memory_back_in(tmp_path):
-    # main fixes glibc's thresholds, so one run's freed numpy temporaries
-    # serve the next run instead of going back to the system
+    # importing fairgossip fixes glibc's thresholds, so one run's freed
+    # numpy temporaries serve the next run instead of going back to the
+    # system
     import resource
     argv = ["fairness", "--n", "64", "--gamma", "4", "--trials", "16",
             "--out", str(tmp_path / "f.jsonl")]

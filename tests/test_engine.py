@@ -29,7 +29,6 @@ from fairgossip.engine import (
 from fairgossip.protocol import (
     Certificate,
     ConfigError,
-    Ledger,
     Params,
     derive_params,
     verify_certificate,
@@ -558,6 +557,43 @@ def test_member_views_hold_the_current_certificate(faulty):
 
 
 @register
+class _SavedLedgers(DeviationStrategy):
+    """Honest, but saves each member's ``view.ledger`` as it commits and
+    as it decides, in ``saved``."""
+
+    name = "_test_saved_ledgers"
+    saved: dict = {}
+
+    def choose_commit_target(self, view, round_index, default):
+        self.saved[view.id, "commit"] = view.ledger
+        return default
+
+    def final_decision(self, view, default):
+        self.saved[view.id, "decide"] = view.ledger
+        return default
+
+
+@pytest.mark.parametrize("faulty", [frozenset(), frozenset({2, 7, 12})])
+def test_member_views_hold_their_live_ledgers(faulty):
+    config = SimConfig(n=16, gamma=2.0, colors=HALF, faulty=faulty,
+                       coalition=CoalitionConfig(
+                           members=(1, 4), strategy="_test_saved_ledgers"))
+    saved = _SavedLedgers.saved
+    for seed in range(30):
+        saved.clear()
+        t = run_trial(replace(config, master_seed=seed), record=False)
+        for b in (1, 4):
+            ledger = saved[b, "decide"]
+            assert ledger is saved[b, "commit"] and ledger  # it pulled
+            res = verify_certificate(t.cert_min[b], ledger, t.params)
+            accepted = res.color if res.accepted else None
+            assert t.decisions[b] == (None if b in t.failures else accepted)
+            marks = sorted(v for v, d in ledger.items() if d is None)
+            assert tuple(marks) == t.faulty_marks[b]
+            assert set(marks) >= faulty & ledger.keys()
+
+
+@register
 class _Copies(DeviationStrategy):
     """Honest, but every default comes back as an equal, distinct copy."""
 
@@ -770,16 +806,16 @@ def _audit_cases(draw):
     cert = Certificate(ticket, tuple(votes), 1, owner)
     ledgers = []
     for _ in range(draw(st.integers(1, 4))):
-        ledger = Ledger()
+        ledger = {}
         for s in range(1, n + 1):
             if not draw(st.booleans()):
                 continue            # never pulled: unseen
             if plain[s]:
-                ledger.declarations[s] = intentions[s]
+                ledger[s] = intentions[s]
             elif s not in members:
-                ledger.declarations[s] = None
+                ledger[s] = None
             else:
-                ledger.declarations[s] = draw(st.one_of(
+                ledger[s] = draw(st.one_of(
                     st.none(), st.just(intentions[s]),
                     st.lists(pair, min_size=q, max_size=q).map(tuple)))
         ledgers.append(ledger)
@@ -795,7 +831,7 @@ def test_certificate_audit_agrees_with_verify_certificate(case):
     audit = engine._audit(cert, params.modulus, intentions, plain, members)
     for ledger in ledgers:
         reason = verify_certificate(cert, ledger, params).reason
-        assert engine._rejection(audit, ledger.declarations) == reason
+        assert engine._rejection(audit, ledger) == reason
 
 
 @register

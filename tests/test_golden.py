@@ -36,13 +36,24 @@ from fairgossip.engine import (
 
 SIZES = (1, 2, 3, 5, 8, 17, 40, 64, 100)
 SEEDS = (0, 1, 7, 2**32 + 3, 2**64 + 5)
+#: coalition groups: group name -> (strategy, options); the last three set
+#: the options no other group or CLI digest sets
 STRATEGIES = {
-    "honest": {},
-    "k_underbid": {},
-    "commitment_mismatch": {"equivocate": True},
-    "fake_faulty": {},
-    "coherence_silence": {},
+    "honest": ("honest", {}),
+    "k_underbid": ("k_underbid", {}),
+    "commitment_mismatch": ("commitment_mismatch", {"equivocate": True}),
+    "fake_faulty": ("fake_faulty", {}),
+    "coherence_silence": ("coherence_silence", {}),
+    "commitment_mismatch-retarget":
+        ("commitment_mismatch", {"retarget": True}),
+    "fake_faulty-silent_voting": ("fake_faulty", {"silent_voting": True}),
+    "coherence_silence-victims": ("coherence_silence", {"victims": [2, 3]}),
 }
+
+
+def _coalition(group):
+    strategy, options = STRATEGIES[group]
+    return CoalitionConfig(members=(1, 4), strategy=strategy, options=options)
 
 
 def _configs(coalition=None):
@@ -93,6 +104,12 @@ DIGESTS = {
         "d4a995ea9755f3a631a92737c34b3bd1272008e08f5c17d440303f4e4025fe43",
     "coherence_silence":
         "81cd4f469c1db382c3251393804b1d3be49a84055c4eecedbaef6b758efac655",
+    "commitment_mismatch-retarget":
+        "e93911705fe9ad0d89b0c0cca3145a6464b17950fe36e5c12981400b185bc658",
+    "fake_faulty-silent_voting":
+        "bf10603ea298217c8b012d6cbec0d8f027cac984f5d53a522fe6b6aa1f1f626a",
+    "coherence_silence-victims":
+        "c310d7fd128555de4db160db4f8d47373f9bb552df955b8ac362653c2dac2dff",
     "kernel-n16":
         "96cb925ad5b9441b4bfb5d3ad4eecfd055871030fed6abc8e19afb153ec6b8e4",
     "kernel-n40-faulty":
@@ -106,8 +123,7 @@ def group_lines(group):
     if group == "plain":
         return _trace_lines()
     if group in STRATEGIES:
-        return _trace_lines(CoalitionConfig(
-            members=(1, 4), strategy=group, options=STRATEGIES[group]))
+        return _trace_lines(_coalition(group))
     return _kernel_lines(*KERNEL_CASES[group])
 
 
@@ -128,10 +144,7 @@ def test_golden_digest(group):
 def test_unrecorded_trials_match_recorded(group):
     # the digests above run with recording on; without it, a trial counts
     # its messages and bits without logging them, and must count the same
-    coalition = None
-    if group != "plain":
-        coalition = CoalitionConfig(members=(1, 4), strategy=group,
-                                    options=STRATEGIES[group])
+    coalition = None if group == "plain" else _coalition(group)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for config in _configs(coalition):
@@ -178,10 +191,11 @@ CLI_DIGESTS = {
     "attack --n 16 --gamma 2 --coalition 5 --strategy fake_faulty "
     "--trials 10":
         "ab57d351f87850c31006d824d3c6ffe114a4cd46eea5db6943475158185bdef3",
-    # keeps no pair: "verdict_no_gain": null, verdict indeterminate
+    # keeps no pair: "verdict_no_gain": null, verdict indeterminate, and
+    # each member row's means and CI half-width null
     "attack --n 16 --gamma 2 --coalition 2,5 --strategy coherence_silence "
     "--option victims=[1,3,4] --trials 10":
-        "c99ca3a03259506767b42bae313fc79afe06d99392087a9e2d6ede60f9778f92",
+        "067fcd7646b2c1b893223925816d5a5576abb1eaa6821f24863e81edb613e86c",
     "claims --n 16 --gamma 2 --coalition 1,5 --trials 30":
         "cc0c65c83fe20942abf7974905056528a356c1e10807758e5f564e9a5e26267d",
     "claims --n 32 --gamma 3 --colors 16x1,16x2 --coalition 1,17 "

@@ -14,7 +14,6 @@ from fairgossip.protocol import (
     VOTE_MISMATCH,
     Certificate,
     ConfigError,
-    Ledger,
     certificate_flaw,
     derive_params,
     derive_stream,
@@ -220,24 +219,28 @@ def test_intention_target_frequencies_near_uniform():
         assert abs(counts[target] / total - 1 / P8.n) < 0.01
 
 
+def _marks(ledger):
+    return {v for v, d in ledger.items() if d is None}
+
+
 def test_record_commitment_and_marks():
-    ledger = Ledger()
+    ledger = {}
     decl = ((10, 1), (5, 3))
     record_commitment(ledger, 2, decl, P4)
-    assert ledger.declarations[2] == ((10, 1), (5, 3))
-    assert ledger.faulty_marks == frozenset()
+    assert ledger[2] == ((10, 1), (5, 3))
+    assert _marks(ledger) == set()
 
     record_commitment(ledger, 4, None, P4)           # silence
-    assert ledger.declarations[4] is None
-    assert ledger.faulty_marks == frozenset({4})
+    assert ledger[4] is None
+    assert _marks(ledger) == {4}
 
-    assert 3 not in ledger.declarations              # never pulled
+    assert 3 not in ledger                           # never pulled
 
     # a re-pull overwrites: the later answer stands
     record_commitment(ledger, 4, decl, P4)
-    assert ledger.declarations[4] == decl
+    assert ledger[4] == decl
     record_commitment(ledger, 2, None, P4)
-    assert ledger.faulty_marks == frozenset({2})
+    assert _marks(ledger) == {2}
 
 
 def test_record_commitment_rejects_malformed():
@@ -256,9 +259,9 @@ def test_record_commitment_rejects_malformed():
     ]
     for reply in cases:
         assert not valid_intention(reply, P4)
-        ledger = Ledger()
+        ledger = {}
         record_commitment(ledger, 3, reply, P4)
-        assert ledger.declarations == {3: None}
+        assert ledger == {3: None}
     # boundary values 0 and modulus are legal on the wire
     assert valid_intention(((0, 1), (64, 4)), P4)
 
@@ -319,7 +322,7 @@ def test_vote_flaw(entry, value, rnd, owner, flaw):
 
 
 def _ledger_with(entries):
-    ledger = Ledger()
+    ledger = {}
     for voter, decl in entries.items():
         record_commitment(ledger, voter, decl, P4)
     return ledger
@@ -333,7 +336,7 @@ def test_verify_accepts_consistent_certificate():
 
 def test_verify_rejects_bad_checksum():
     cert = Certificate(11, ((10, 2, 1),), 1, 1)
-    res = verify_certificate(cert, Ledger(), P4)
+    res = verify_certificate(cert, {}, P4)
     assert res == (False, None, BAD_CHECKSUM)
 
 
@@ -357,7 +360,7 @@ def test_verify_marked_voter_must_be_zero():
 def test_verify_unpulled_senders_pass_by_default():
     # nothing in the ledger about sender 3, so only the checksum binds
     cert = Certificate(12, ((12, 3, 2),), 1, 1)
-    assert verify_certificate(cert, Ledger(), P4).accepted
+    assert verify_certificate(cert, {}, P4).accepted
 
 
 def test_payoff_values():

@@ -26,7 +26,8 @@ per file and in total.
 
 Optional sections, each also run in both trees:
   --digest W=N     the output sha256 of ops 1..N of workload W at seed
-                   S-1, one per op, through perfbench/worker.py's run_op;
+                   S-1, one per op, through perfbench/worker.py's run_op,
+                   and the median and mean minor page faults per op;
   --kernel         40 alternating rounds of in-process timings of
                    protocol.draw_batch, engine.run_honest_trials and
                    analysis.iter_trials;
@@ -167,19 +168,25 @@ def judge(summary: dict, metric: str, better: str) -> dict:
                     <= summary["failed"]["parent"])}
 
 
-# Runs in a tree's perfbench/ directory: per-op output digests.
+# Runs in a tree's perfbench/ directory: per-op output digests, and the
+# minor page faults each op took.
 DIGEST_SCRIPT = """
-import json, sys, tempfile
+import json, resource, sys, tempfile
 from pathlib import Path
 import worker
 workload, seed, ops = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 fg = worker.load_package()
 w = worker.WORKLOADS[workload]
 base = worker.base_seed(workload, seed)
+results, minflt = [], []
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "op.out"
-    results = [worker.run_op(w, fg, k, base, out) for k in range(1, ops + 1)]
-print(json.dumps({"ops": [r.sha256 for r in results],
+    for k in range(1, ops + 1):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        results.append(worker.run_op(w, fg, k, base, out))
+        minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+print(json.dumps({"ops": [r.sha256 for r in results], "minflt": minflt,
                   "failed": sum(r.error is not None for r in results),
                   "digest": worker.digest(results)}))
 """
@@ -244,7 +251,10 @@ def digests(trees: dict[str, Path], workload: str, seed: int,
     for side in SIDES:
         got = run_json([sys.executable, "-c", DIGEST_SCRIPT, workload,
                         str(seed), str(ops)], trees[side] / "perfbench")
-        doc[side] = {"failed": got["failed"], "digest": got["digest"]}
+        doc[side] = {"failed": got["failed"], "digest": got["digest"],
+                     "minflt_per_op": {
+                         "median": statistics.median(got["minflt"]),
+                         "mean": statistics.fmean(got["minflt"])}}
         shas[side] = got["ops"]
     doc["equal_ops"] = sum(a == b for a, b in zip(shas["parent"],
                                                   shas["change"]))
