@@ -8,14 +8,13 @@ base class is itself the "no deviation" strategy and any subclass only
 overrides the hooks it attacks through.
 
 Hooks may return None where silence / inaction is meaningful (skipping a
-pull, not replying, withholding a vote or push). The engine validates hook
-results against the wire format and raises StrategyError on anything no
-protocol message could carry; strategies deviate within the transport, they
-do not get a side channel. A find-min reply or coherence push that is the
-member's current minimum itself (not an equal copy), and a pull answer
-that is its chosen intention itself, are taken as is: both already passed
-the checks and are frozen. A declared certificate is always checked, the
-default too, since ``own_cert`` is built from the member's live ``tally``.
+pull, not replying, withholding a vote or push). A member acts on the trial
+only through what its hooks return: the engine validates each result
+against the wire format and raises StrategyError on anything no protocol
+message could carry; strategies deviate within the transport, they do not
+get a side channel. A result that is the very default object the hook was
+given (not an equal copy) is taken as is, since the engine built it and it
+is frozen; anything else is checked.
 """
 
 from __future__ import annotations
@@ -41,25 +40,19 @@ class StrategyError(RuntimeError):
 class MemberView:
     """One coalition member's own state, as visible to its strategy.
 
-    ``intention`` is the member's honest draw; ``chosen_intention`` is what
-    it actually casts (set after the intention hook runs). ``tally``,
-    ``ledger`` and ``ce_min`` are live references kept current by the
-    engine; ``ledger`` is the very dict the member verifies against, in
-    ``record_commitment``'s format (voter -> declared pairs, or None for a
-    no-reply mark). ``own_cert`` is the honest certificate over the actual
-    tally.
+    ``chosen_intention`` is what the member actually casts (set after the
+    intention hook runs). ``ledger`` is a live, read-only view of the
+    ledger the member verifies against, in ``record_commitment``'s format
+    (voter -> declared pairs, or None for a no-reply mark), and ``ce_min``
+    is its current certificate, kept current by the engine. The engine
+    reads none of these fields back.
     """
 
     id: int
     color: int
-    intention: Optional[tuple] = None
     chosen_intention: Optional[tuple] = None
-    ledger: Optional[dict] = None
-    tally: Optional[list] = None
-    own_cert: Optional[Certificate] = None
-    declared_cert: Optional[Certificate] = None
+    ledger: Optional[Mapping] = None
     ce_min: Optional[Certificate] = None
-    failed: bool = False
 
 
 @dataclass(slots=True)

@@ -82,7 +82,7 @@ def _resolve(args: argparse.Namespace,
         "sigma_mult": args.sigma_mult, "max_fail_rate": args.max_fail_rate,
         "alpha": args.alpha,
     }
-    if getattr(args, "sizes", None):
+    if getattr(args, "sizes", None) is not None:
         overrides["sizes"] = args.sizes.split(",")
     if args.beta1 is not None or args.beta2 is not None:
         cal = dict(doc.get("calibration") or {})

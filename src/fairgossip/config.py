@@ -226,7 +226,7 @@ def parse_config(doc: Optional[Mapping] = None,
     if exp.sigma_mult <= 0:
         raise ConfigError(f"sigma_mult: need a positive number, "
                           f"got {exp.sigma_mult}")
-    if any(size < 1 for size in exp.sizes):
+    if not exp.sizes or any(size < 1 for size in exp.sizes):
         raise ConfigError(f"sizes: need positive agent counts, "
                           f"got {list(exp.sizes)}")
 

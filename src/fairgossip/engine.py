@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from itertools import islice
+from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ from fairgossip.protocol import (
     record_commitment,
     valid_intention,
     valid_vote,
-    verify_certificate,
+    verify_certificate,  # not called; perfbench/worker.py wraps it here
     vote_flaw,
     vote_sum,
 )
@@ -264,8 +265,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
         strategy = make_strategy(coalition.strategy, ctx)
         views = ctx.views
         for b in members:
-            views[b] = MemberView(id=b, color=colors[b - 1],
-                                  intention=intentions[b])
+            views[b] = MemberView(id=b, color=colors[b - 1])
         for b in members:
             view = views[b]
             pick = strategy.choose_intention(view, intentions[b])
@@ -286,7 +286,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     for u in active:
         declared[u] = {}
     for b in members:
-        views[b].ledger = declared[b]
+        views[b].ledger = MappingProxyType(declared[b])
     coalition_pulled: set[int] = set()
     first_declarations: dict[int, Optional[tuple]] = {}
     # member replies that need no check, by id: each member's chosen
@@ -354,8 +354,6 @@ def run_trial(config: SimConfig, *, record: bool = True,
     tallies: list = [None] * (n + 1)
     for u in active:
         tallies[u] = []
-    for b in members:
-        views[b].tally = tallies[b]
     votes_log: Optional[list] = [] if record else None
 
     n_msgs = 0
@@ -394,16 +392,14 @@ def run_trial(config: SimConfig, *, record: bool = True,
         tickets[u] = cert.ticket
         tally_sizes[u] = len(tallies[u])
         if not plain[u]:
-            view = views[u]
-            view.own_cert = cert
-            # checked even when it is the default: the default is built from
-            # view.tally, which the strategy holds live and may have edited
-            cert = strategy.declare_certificate(view, cert)
-            _check_cert(u, cert, params)
-            if cert.owner != u:
-                raise StrategyError(f"member {u}: declared certificate "
-                                    f"owned by {cert.owner}")
-            view.declared_cert = view.ce_min = cert
+            own = cert
+            cert = strategy.declare_certificate(views[u], own)
+            if cert is not own:
+                _check_cert(u, cert, params)
+                if cert.owner != u:
+                    raise StrategyError(f"member {u}: declared certificate "
+                                        f"owned by {cert.owner}")
+            views[u].ce_min = cert
         ce_min[u] = cert
         ce_bits[u] = certificate_bits(cert, widths)
         ce_ticket[u] = cert.ticket
@@ -511,28 +507,23 @@ def run_trial(config: SimConfig, *, record: bool = True,
             mine = ce_min[target]
             if cert is not mine and cert != mine:
                 failures[target] = rnd
-                if not plain[target]:
-                    views[target].failed = True
     by_phase.append((PHASE_COHERENCE, n_msgs, n_bits))
 
     # --- verification: accept the winner or abort -------------------------
-    # Honest agents audit each distinct certificate once (see _audit); a
-    # member verifies against its own ledger, which its strategy can see.
+    # Every agent, member or not, audits each distinct certificate once
+    # (see _audit) and checks the audit against its own ledger.
     decisions: dict[int, Optional[int]] = {}
     audits: dict[int, Optional[tuple]] = {}
     for u in active:
         cert = ce_min[u]
         if u in failures:
             default = None
-        elif plain[u]:
+        else:
             key = id(cert)      # ce_min holds every cert for the whole loop
             if key not in audits:
                 audits[key] = _audit(cert, m, intentions, plain, member_set)
             default = (None if _rejection(audits[key], declared[u])
                        else cert.color)
-        else:
-            res = verify_certificate(cert, declared[u], params)
-            default = res.color if res.accepted else None
         if not plain[u]:
             pick = strategy.final_decision(views[u], default)
             if pick is not None and (type(pick) is not int
@@ -613,16 +604,17 @@ def _check_cert(u: int, cert: object, params: Params) -> None:
 
 def _audit(cert: Certificate, modulus: int, intentions: list,
            plain: list, member_set: frozenset) -> Optional[tuple]:
-    """The part of ``verify_certificate`` that is the same for every honest
+    """The part of ``verify_certificate`` that is the same for every
     verifier: None for a bad checksum, else ``(owner, checks)``.
 
-    An honest agent's ledger can hold only ``intentions[s]`` for an honest
-    non-member sender s and a None mark for a faulty one, so such a vote
-    can fail only with its ``vote_flaw`` against that one possible entry.
-    ``checks`` lists, in certificate order, each such failing vote with
-    its reason and every member vote with reason None, as (sender, value,
-    round, reason); ``_rejection`` checks those against each verifier's
-    own entries."""
+    Only the engine files ledger entries, so for a non-member sender s
+    every agent's ledger, a member's too, can hold only ``intentions[s]``
+    if s is honest and a None mark if it is faulty: such a vote can fail
+    only with its ``vote_flaw`` against that one possible entry. ``checks``
+    lists, in certificate order, each such failing vote with its reason
+    and every member vote with reason None, as (sender, value, round,
+    reason); ``_rejection`` checks those against each verifier's own
+    entries."""
     if cert.ticket != vote_sum(cert.votes, modulus):
         return None
     owner = cert.owner
@@ -640,8 +632,8 @@ def _audit(cert: Certificate, modulus: int, intentions: list,
 
 def _rejection(audit: Optional[tuple], declarations: dict) -> Optional[str]:
     """The reason ``verify_certificate`` gives for rejecting the audited
-    certificate against an honest verifier's ledger ``declarations``, or
-    None if it accepts: the first failing check whose sender it pulled."""
+    certificate against a verifier's ledger ``declarations``, or None if
+    it accepts: the first failing check whose sender it pulled."""
     if audit is None:
         return BAD_CHECKSUM
     owner, checks = audit

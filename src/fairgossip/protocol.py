@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -488,7 +488,7 @@ def vote_flaw(entry: Optional[tuple], value: int, rnd: int,
     return None if entry[rnd - 1] == (value, owner) else VOTE_MISMATCH
 
 
-def verify_certificate(cert: Certificate, ledger: dict,
+def verify_certificate(cert: Certificate, ledger: Mapping,
                        params: Params) -> VerifyResult:
     """Audit a winning certificate against one agent's own ledger.
 

@@ -132,3 +132,28 @@ def test_digests_report_page_faults_per_op(tmp_path):
     faults = {side: doc[side]["minflt_per_op"] for side in trees}
     assert faults["parent"]["median"] < 64
     assert min(faults["change"].values()) >= 512
+
+
+def test_digests_count_calls_per_op(tmp_path):
+    trees = {}
+    for side, calls in (("parent", 0), ("change", 25)):
+        trees[side] = tmp_path / side
+        (trees[side] / "perfbench").mkdir(parents=True)
+        # run_op first makes `calls` more Python calls and C calls
+        (trees[side] / "perfbench" / "worker.py").write_text(
+            STUB_WORKER.format(pages=0) + f"""
+_run_op = run_op
+def _noop():
+    pass
+def run_op(w, fg, k, base, out):
+    for _ in range({calls}):
+        _noop()
+        abs(k)
+    return _run_op(w, fg, k, base, out)
+""")
+    doc = bench_pairs.digests(trees, "w", 7, 5)
+    assert doc["equal_ops"] == 5
+    counts = {side: doc[side]["calls_per_op"] for side in trees}
+    assert counts["parent"]["python"] > 0 and counts["parent"]["c"] > 0
+    assert counts["change"] == {"python": counts["parent"]["python"] + 25,
+                                "c": counts["parent"]["c"] + 25}

@@ -358,6 +358,7 @@ def test_write_failure_reports_path(tmp_path, capsys):
      "--strategy", "k_underbid"],
     ["scaling", "--sizes", "8", "--trials", "1", "--faulty", "2,3"],
     ["run", "--n", "8", "--coalition", "1", "--option", "foo"],
+    ["scaling", "--sizes", ""],     # no sizes, not the default ones
 ], ids=" ".join)
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
@@ -386,6 +387,16 @@ def test_config_file_booleans_exit_two_with_one_line(doc, tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--seed", "8"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_config_file_with_no_sizes_exits_two_with_one_line(tmp_path,
+                                                          capsys):
+    # a scaling run over no sizes would pass with nothing measured
+    cfg = tmp_path / "no-sizes.yaml"
+    cfg.write_text("sizes: []\n")
+    assert main(["scaling", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: sizes: need positive agent counts, got []\n")
 
 
 def test_empty_config_file_reads_as_no_keys(tmp_path):

@@ -179,6 +179,7 @@ def test_calibration_from_document():
                            "options": {"equivocate": "false"}}},
     {"n": 8, "colors": 3},
     {"n": 8, "sizes": 5},
+    {"n": 8, "sizes": []},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairgossip import engine
-from fairgossip.adversary import DeviationStrategy, StrategyError, register
+from fairgossip.adversary import (
+    STRATEGIES,
+    DeviationStrategy,
+    StrategyError,
+    register,
+)
 from fairgossip.engine import (
     Calibration,
     CoalitionConfig,
@@ -466,20 +471,6 @@ class _BadHook(DeviationStrategy):
         setattr(self, ctx.options["hook"], lambda *_: ctx.options["value"])
 
 
-@register
-class _TallyEdit(DeviationStrategy):
-    """Adds option ``entries`` to its live tally, then declares the default
-    certificate built over it."""
-
-    name = "_test_tally_edit"
-    option_keys = frozenset({"entries"})
-
-    def choose_vote(self, view, round_index, default):
-        if round_index == 1:
-            view.tally.extend(self.ctx.options["entries"])
-        return default
-
-
 # (strategy, options, message after "member 2: ") for each wire check
 BOUNDARY_CASES = [
     ("_test_bad_cert", {}, "declared certificate owned by 3"),
@@ -511,9 +502,10 @@ BOUNDARY_CASES = [
           ("choose_commit_target", -1, "bad pull target -1"),
           ("choose_findmin_target", -1, "bad pull target -1"),
       ]),
-    # the default certificate is built over the tally, so it is checked too
-    *(("_test_tally_edit", {"entries": entries}, message)
-      for entries, message in [
+    # a declared certificate that is not the default is checked vote by vote
+    *(("_test_bad_hook", {"hook": "declare_certificate",
+                          "value": Certificate(0, votes, 1, 2)}, message)
+      for votes, message in [
           (((65, 1, 1),), "vote value out of range"),
           (((1, 0, 1),), "vote sender out of range"),
           (((1, True, 1),), "vote sender out of range"),
@@ -593,6 +585,64 @@ def test_member_views_hold_their_live_ledgers(faulty):
             assert set(marks) >= faulty & ledger.keys()
 
 
+# every built-in strategy, with its options, as a subclass that saves each
+# member's view.ledger in ``saved`` when it decides
+SAVING: list = []
+for _i, (_base, _options) in enumerate([
+        ("honest", {}), ("k_underbid", {}), ("commitment_mismatch", {}),
+        ("commitment_mismatch", {"equivocate": True}), ("fake_faulty", {}),
+        ("coherence_silence", {})]):
+    @register
+    class _Saving(STRATEGIES[_base]):
+        name = f"_test_saving_{_i}"
+        saved: dict = {}
+
+        def final_decision(self, view, default):
+            self.saved[view.id] = view.ledger
+            return super().final_decision(view, default)
+
+    SAVING.append((_Saving, _options))
+
+
+@pytest.mark.parametrize("faulty", [frozenset(), frozenset({2, 7, 12})])
+def test_member_verdicts_follow_verify_certificate(faulty):
+    # a member decides by the same audit as an honest agent; under every
+    # built-in strategy that verdict is verify_certificate's over its ledger
+    for cls, options in SAVING:
+        config = SimConfig(n=16, gamma=2.0, colors=HALF, faulty=faulty,
+                           coalition=CoalitionConfig(
+                               members=(1, 4, 9), strategy=cls.name,
+                               options=options))
+        for seed in range(40):
+            cls.saved.clear()
+            t = run_trial(replace(config, master_seed=seed), record=False)
+            for b in (1, 4, 9):
+                res = verify_certificate(t.cert_min[b], cls.saved[b],
+                                         t.params)
+                accepted = res.color if res.accepted else None
+                assert t.decisions[b] == (None if b in t.failures
+                                          else accepted), (cls.name, seed, b)
+
+
+@register
+class _LedgerWrite(DeviationStrategy):
+    """Tries to file a no-reply mark for its first pull target itself."""
+
+    name = "_test_ledger_write"
+
+    def choose_commit_target(self, view, round_index, default):
+        view.ledger[default] = None
+        return default
+
+
+def test_member_ledger_is_read_only():
+    config = SimConfig(n=16, gamma=2.0, colors=HALF,
+                       coalition=CoalitionConfig(
+                           members=(1, 4), strategy="_test_ledger_write"))
+    with pytest.raises(TypeError):
+        run_trial(config, record=False)
+
+
 @register
 class _Copies(DeviationStrategy):
     """Honest, but every default comes back as an equal, distinct copy."""
@@ -633,13 +683,14 @@ def wire_checks(monkeypatch):
 def test_default_hook_results_are_not_rechecked(wire_checks):
     config = SimConfig(n=64, gamma=4.0, colors=HALF64,
                        coalition=CoalitionConfig(members=(1, 2, 33, 34)))
-    # each member's declared certificate is checked once, when it is
-    # declared; its owner serves it from then on as its default, and its
-    # pull answers are its chosen intention
+    # an honest member declares the certificate the engine built over its
+    # tally and serves it as its default, and its pull answers are its
+    # chosen intention: nothing it sends is checked
     for seed in range(3):
         run_trial(replace(config, master_seed=seed), record=False)
-    assert wire_checks == {"certificate_flaw": 3 * 4}
-    wire_checks.clear()
+    assert wire_checks == {}
+    # a doctored declaration is checked once, when it is declared; its
+    # owner serves it from then on as its default
     run_trial(replace(config, coalition=replace(config.coalition,
                                                 strategy="k_underbid")),
               record=False)
@@ -648,13 +699,14 @@ def test_default_hook_results_are_not_rechecked(wire_checks):
 
 def test_kept_commitment_replies_are_checked_once(wire_checks):
     # commitment_mismatch answers every pull with one cached fake per
-    # member, which is checked when it is first filed
+    # member, which is checked when it is first filed; its certificates
+    # are the engine's defaults
     config = SimConfig(n=64, gamma=4.0, colors=HALF64,
                        coalition=CoalitionConfig(members=(1, 2, 33, 34),
                                                  strategy="commitment_mismatch"))
     for seed in range(4):
         run_trial(replace(config, master_seed=seed), record=False)
-        assert wire_checks == {"certificate_flaw": 4, "record_commitment": 4}
+        assert wire_checks == {"record_commitment": 4}
         wire_checks.clear()
 
 
@@ -715,7 +767,7 @@ def test_copied_defaults_are_checked_and_change_nothing(wire_checks, faulty):
     for seed in range(12):
         expected = trace_json_line(run_trial(replace(honest,
                                                      master_seed=seed)))
-        assert wire_checks == {"certificate_flaw": 2}   # the declarations
+        assert wire_checks == {}
         trace = run_trial(replace(copies, master_seed=seed))
         assert wire_checks["certificate_flaw"] > 2
         assert wire_checks["record_commitment"] > 0

@@ -27,7 +27,10 @@ per file and in total.
 Optional sections, each also run in both trees:
   --digest W=N     the output sha256 of ops 1..N of workload W at seed
                    S-1, one per op, through perfbench/worker.py's run_op,
-                   and the median and mean minor page faults per op;
+                   the median and mean minor page faults per op, and the
+                   median Python and C function calls per op, counted by
+                   sys.setprofile in a second pass over the same ops (it
+                   takes about three times as long as the first);
   --kernel         40 alternating rounds of in-process timings of
                    protocol.draw_batch, engine.run_honest_trials and
                    analysis.iter_trials;
@@ -168,8 +171,9 @@ def judge(summary: dict, metric: str, better: str) -> dict:
                     <= summary["failed"]["parent"])}
 
 
-# Runs in a tree's perfbench/ directory: per-op output digests, and the
-# minor page faults each op took.
+# Runs in a tree's perfbench/ directory: per-op output digests and the
+# minor page faults each op took, then the same ops again under
+# sys.setprofile for the Python and C function calls each op made.
 DIGEST_SCRIPT = """
 import json, resource, sys, tempfile
 from pathlib import Path
@@ -178,7 +182,10 @@ workload, seed, ops = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 fg = worker.load_package()
 w = worker.WORKLOADS[workload]
 base = worker.base_seed(workload, seed)
-results, minflt = [], []
+results, minflt, calls = [], [], []
+def count(frame, event, arg):
+    if event in seen:
+        seen[event] += 1
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "op.out"
     for k in range(1, ops + 1):
@@ -186,7 +193,14 @@ with tempfile.TemporaryDirectory() as tmp:
         results.append(worker.run_op(w, fg, k, base, out))
         minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                       - before)
+    for k in range(1, ops + 1):
+        seen = {"call": 0, "c_call": 0}
+        sys.setprofile(count)
+        worker.run_op(w, fg, k, base, out)
+        sys.setprofile(None)
+        calls.append([seen["call"], seen["c_call"]])
 print(json.dumps({"ops": [r.sha256 for r in results], "minflt": minflt,
+                  "calls": calls,
                   "failed": sum(r.error is not None for r in results),
                   "digest": worker.digest(results)}))
 """
@@ -254,7 +268,10 @@ def digests(trees: dict[str, Path], workload: str, seed: int,
         doc[side] = {"failed": got["failed"], "digest": got["digest"],
                      "minflt_per_op": {
                          "median": statistics.median(got["minflt"]),
-                         "mean": statistics.fmean(got["minflt"])}}
+                         "mean": statistics.fmean(got["minflt"])},
+                     "calls_per_op": {
+                         kind: statistics.median(c[i] for c in got["calls"])
+                         for i, kind in enumerate(("python", "c"))}}
         shas[side] = got["ops"]
     doc["equal_ops"] = sum(a == b for a, b in zip(shas["parent"],
                                                   shas["change"]))
