@@ -32,7 +32,6 @@ def _coalition_of(config: SimConfig) -> frozenset[int]:
 
 
 def iter_trials(config: SimConfig, seeds: Iterable[int],
-                calibration: Calibration = DEFAULT_CALIBRATION,
                 record: bool = False) -> Iterator[Trace]:
     """The trace of `config` at each master seed in `seeds`, in order.
     Seeds are taken a chunk at a time, and each chunk's agent draws come
@@ -41,7 +40,7 @@ def iter_trials(config: SimConfig, seeds: Iterable[int],
     for chunk, values, targets in draw_chunks(iter(seeds), params):
         for seed, drawn in zip(chunk, zip(values, targets)):
             yield run_trial(replace(config, master_seed=seed), record=record,
-                            calibration=calibration, draws=drawn)
+                            draws=drawn)
 
 
 # --- legitimate winner ------------------------------------------------------
@@ -179,7 +178,6 @@ class FairnessReport:
 
 
 def run_fairness_experiment(config: SimConfig, trials: int, seed0: int = 0,
-                            *, calibration: Calibration = DEFAULT_CALIBRATION,
                             ) -> FairnessReport:
     """Run `trials` independent trials at seeds seed0..seed0+trials-1.
     A coalition-free config runs on `run_honest_trials`, which reports
@@ -193,10 +191,10 @@ def run_fairness_experiment(config: SimConfig, trials: int, seed0: int = 0,
     fails = 0
     seeds = range(seed0, seed0 + trials)
     if config.coalition is None:
-        results = run_honest_trials(config, seeds, calibration)
+        results = run_honest_trials(config, seeds)
     else:
         results = ((t.outcome, t.winner, t.flags)
-                   for t in iter_trials(config, seeds, calibration))
+                   for t in iter_trials(config, seeds))
     for outcome, winner, _ in results:
         if outcome is None:
             fails += 1
@@ -310,21 +308,20 @@ class EquilibriumReport:
 class BaselineCache:
     """Memo for the honest arm, reusable across strategies at one config.
 
-    A baseline trial depends only on the coalition-free config, the
-    calibration and the seed, so different deviation experiments over the
-    same population can share it, whatever their ``master_seed`` (the
-    seeds come from the experiment's range). Keyed defensively: reusing
-    the cache with a different base config is a configuration error.
+    A baseline trial depends only on the coalition-free config and the
+    seed, so different deviation experiments over the same population can
+    share it, whatever their ``master_seed`` (the seeds come from the
+    experiment's range). Keyed defensively: reusing the cache with a
+    different base config is a configuration error.
     """
 
-    key: object = None
+    key: Optional[SimConfig] = None
     entries: dict[int, tuple[Optional[int], bool]] = field(
         default_factory=dict)
 
 
 def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
                                *, sigma_mult: float = 4.0,
-                               calibration: Calibration = DEFAULT_CALIBRATION,
                                cache: Optional[BaselineCache] = None,
                                auditor: Optional["ClaimsAuditor"] = None,
                                ) -> EquilibriumReport:
@@ -340,7 +337,7 @@ def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
     members = config.coalition.members
     base_config = replace(config, coalition=None)
     if cache is not None:
-        cache_key = (replace(base_config, master_seed=0), calibration)
+        cache_key = replace(base_config, master_seed=0)
         if cache.key is None:
             cache.key = cache_key
         elif cache.key != cache_key:
@@ -349,14 +346,13 @@ def run_equilibrium_experiment(config: SimConfig, trials: int, seed0: int = 0,
     seeds = range(seed0, seed0 + trials)
     baselines = cache.entries if cache is not None else {}
     missing = [seed for seed in seeds if seed not in baselines]
-    for seed, bt in zip(missing, iter_trials(base_config, missing,
-                                             calibration)):
+    for seed, bt in zip(missing, iter_trials(base_config, missing)):
         baselines[seed] = (bt.outcome, bt.flags.d2_good)
 
     base_fail = dev_fail = base_good = dev_good = 0
     base_util: dict[int, list[float]] = {w: [] for w in members}
     diffs: dict[int, list[float]] = {w: [] for w in members}
-    for seed, dt in zip(seeds, iter_trials(config, seeds, calibration)):
+    for seed, dt in zip(seeds, iter_trials(config, seeds)):
         base_outcome, base_ok = baselines[seed]
         if auditor is not None:
             auditor.add(dt)
@@ -409,7 +405,10 @@ class ClaimsAuditReport:
     claim4_passed: Optional[bool]
 
     @property
-    def passed(self) -> bool:
+    def passed(self) -> Optional[bool]:
+        """None (indeterminate) when no trace was eligible."""
+        if not self.eligible:
+            return None
         return (self.claim1_violations == 0
                 and self.claim3_passed is not False
                 and self.claim4_passed is not False)
@@ -530,13 +529,10 @@ class ClaimsAuditor:
 
 
 def run_claims_experiment(config: SimConfig, trials: int, seed0: int = 0,
-                          *, sigma_mult: float = 4.0,
-                          calibration: Calibration = DEFAULT_CALIBRATION,
-                          ) -> ClaimsAuditor:
+                          *, sigma_mult: float = 4.0) -> ClaimsAuditor:
     """Audit `trials` traces at seeds seed0..seed0+trials-1."""
     auditor = ClaimsAuditor(sigma_mult=sigma_mult)
-    for trace in iter_trials(config, range(seed0, seed0 + trials),
-                             calibration):
+    for trace in iter_trials(config, range(seed0, seed0 + trials)):
         auditor.add(trace)
     return auditor
 
@@ -559,13 +555,14 @@ def scaling_experiment(n_values: Iterable[int], gamma: float = 4.0,
     rows = []
     for n in n_values:
         colors = tuple((i % 2) + 1 for i in range(n))
-        config = SimConfig(n=n, gamma=gamma, colors=colors)
+        config = SimConfig(n=n, gamma=gamma, colors=colors,
+                           calibration=calibration)
         q = derive_params(n, gamma).phase_rounds
         max_bits = 0
         rounds = 0
         good = 0
         for t in iter_trials(config, range(seed0, seed0 + trials),
-                             calibration, record=True):
+                             record=True):
             rounds = max(rounds, t.stats.rounds)
             if t.messages:
                 max_bits = max(max_bits, max(m[5] for m in t.messages))

@@ -3,7 +3,8 @@ deterministic seeding, and report emission.
 
 Exit codes: 0 when every verdict in the emitted report passes, 1 when a
 verdict does not pass (it fails, or is indeterminate for want of decided
-trials or kept pairs), 2 for configuration, I/O or out-of-memory errors.
+trials, kept pairs or eligible traces), 2 for configuration, I/O or
+out-of-memory errors.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def _fold(experiment: Callable, workers: int, sim: SimConfig,
     chunks, no more than there are trials or CPUs, in a pool of one
     process per chunk when there are several, merged in seed order with
     the parts' `.merge`."""
-    run = partial(experiment, sim, calibration=exp.calibration, **options)
+    run = partial(experiment, sim, **options)
     chunks = _chunks(exp.trials, min(workers, os.cpu_count() or 1))
     counts = [count for _, count in chunks]
     seeds = [exp.seed + offset for offset, _ in chunks]
@@ -227,7 +228,7 @@ def _fold(experiment: Callable, workers: int, sim: SimConfig,
 def _cmd_run(args: argparse.Namespace) -> int:
     _require_serial(args)
     sim, exp = _resolve(args)
-    trace = run_trial(sim, calibration=exp.calibration)
+    trace = run_trial(sim)
     summary: dict = {}
     rows = _log_rows(trace_log_records(trace), summary)
     with _output(args) as fh:
@@ -266,8 +267,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     if sim.coalition is None:
         raise ConfigError("coalition: required for attack experiments")
     report = run_equilibrium_experiment(sim, exp.trials, exp.seed,
-                                        sigma_mult=exp.sigma_mult,
-                                        calibration=exp.calibration)
+                                        sigma_mult=exp.sigma_mult)
     doc = report.to_dict()
     rows = [{"record": "member", **r} for r in doc.pop("per_member")]
     summary = {"record": "summary", "config": _config_echo(sim, exp), **doc}
@@ -294,7 +294,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         raise ConfigError("scaling runs fault-free, coalition-free "
                           "configs; got a coalition or faulty agents")
     table = scaling_experiment(exp.sizes, sim.gamma, exp.trials, exp.seed,
-                               calibration=exp.calibration)
+                               calibration=sim.calibration)
     passed = all(row.rounds == 4 * row.q for row in table)
     rows = [{"record": "size", **row._asdict()} for row in table]
     summary = {"record": "summary", "gamma": sim.gamma,

@@ -29,9 +29,8 @@ from .protocol import (
 )
 
 _SIM_KEYS = {"n", "gamma", "chi", "num_colors", "colors", "faulty",
-             "coalition", "seed"}
-_EXP_KEYS = {"trials", "sigma_mult", "max_fail_rate", "alpha", "sizes",
-             "calibration"}
+             "coalition", "seed", "calibration"}
+_EXP_KEYS = {"trials", "sigma_mult", "max_fail_rate", "alpha", "sizes"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +43,6 @@ class ExperimentConfig:
     max_fail_rate: float = 0.01
     alpha: float = 0.25              # fault fraction for `faulty: random`
     sizes: tuple[int, ...] = (16, 64, 256)
-    calibration: Calibration = DEFAULT_CALIBRATION
 
 
 def _coerce(name: str, value: Any, kind: type) -> Any:
@@ -212,8 +210,7 @@ def parse_config(doc: Optional[Mapping] = None,
         sigma_mult=read("sigma_mult", 4.0, float),
         max_fail_rate=read("max_fail_rate", 0.01, float),
         alpha=read("alpha", 0.25, float),
-        sizes=tuple(_coerce("sizes", v, int) for v in sizes),
-        calibration=resolve_calibration(merged.get("calibration")))
+        sizes=tuple(_coerce("sizes", v, int) for v in sizes))
     if exp.trials < 1:
         raise ConfigError(f"trials: need at least 1, got {exp.trials}")
     if exp.seed < 0:
@@ -241,7 +238,8 @@ def parse_config(doc: Optional[Mapping] = None,
         faulty=resolve_faulty(merged.get("faulty"), n, colors, exp.seed,
                               exp.alpha),
         coalition=resolve_coalition(merged.get("coalition")),
-        master_seed=exp.seed)
+        master_seed=exp.seed,
+        calibration=resolve_calibration(merged.get("calibration")))
     params = validate_config(sim)
     if sim.coalition is not None:
         # a strategy checks its options when built: fail before any trial

@@ -67,8 +67,23 @@ class CoalitionConfig:
 
 
 @dataclass(frozen=True, slots=True)
+class Calibration:
+    """Empirical thresholds for classifying executions as statistically
+    typical. ``beta1``/``beta2`` bound per-agent tally sizes in units of
+    ln n, so 0 <= beta1 <= beta2; tuned so that fault-free desk-scale runs
+    classify as good well over 99% of the time. A field of ``SimConfig``."""
+
+    beta1: float = 0.2
+    beta2: float = 8.0
+
+
+DEFAULT_CALIBRATION = Calibration()
+
+
+@dataclass(frozen=True, slots=True)
 class SimConfig:
-    """Full description of one trial; two equal configs replay identically."""
+    """Full description of one trial, the calibration behind its flags
+    included; two equal configs replay identically."""
 
     n: int
     gamma: float
@@ -78,20 +93,7 @@ class SimConfig:
     faulty: frozenset[int] = frozenset()
     coalition: Optional[CoalitionConfig] = None
     master_seed: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class Calibration:
-    """Empirical thresholds for classifying executions as statistically
-    typical. ``beta1``/``beta2`` bound per-agent tally sizes in units of
-    ln n; tuned so that fault-free desk-scale runs classify as good well
-    over 99% of the time."""
-
-    beta1: float = 0.2
-    beta2: float = 8.0
-
-
-DEFAULT_CALIBRATION = Calibration()
+    calibration: Calibration = DEFAULT_CALIBRATION
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,11 +207,14 @@ def validate_config(config: SimConfig) -> Params:
             raise ConfigError("coalition members cannot be faulty")
     if n - len(config.faulty) - len(members) < 1:
         raise ConfigError("need at least one honest non-coalition agent")
+    cal = config.calibration
+    if not 0 <= cal.beta1 <= cal.beta2:
+        raise ConfigError(f"calibration: need 0 <= beta1 <= beta2, "
+                          f"got beta1={cal.beta1}, beta2={cal.beta2}")
     return params
 
 
 def run_trial(config: SimConfig, *, record: bool = True,
-              calibration: Calibration = DEFAULT_CALIBRATION,
               draws: Optional[tuple[np.ndarray, np.ndarray]] = None,
               ) -> Trace:
     """One trial at ``config.master_seed``; ``record=False`` leaves the
@@ -552,7 +557,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     sizes[0, active] = [tally_sizes[u] for u in active]
     untainted = [v for v in honest if v not in coalition_pulled]
     flags, = _classify(
-        params, calibration, active, sizes,
+        config, active, sizes,
         np.bincount(drawn_targets[honest, q:2 * q].ravel(),
                     minlength=n + 1)[None],
         np.bincount(drawn_targets[untainted, :q].ravel(),
@@ -645,17 +650,17 @@ def _rejection(audit: Optional[tuple], declarations: dict) -> Optional[str]:
     return None
 
 
-def _classify(params, calibration, active, sizes, pulls, votes, tickets,
-              converged, failed) -> list[GoodExecutionFlags]:
-    """The flags of a batch of trials, one row each. ``sizes``, ``pulls``
-    and ``votes`` are (trials, n+1) counts per agent: tally size,
-    commitment pulls by honest agents, and intended votes from honest
-    agents that no member pulled. Per trial, ``tickets`` are the honest
-    agents' tickets, ``converged`` says find-min left every honest agent
-    the same certificate and ``failed`` that one of them failed
-    coherence."""
-    log_n = math.log(params.n)
-    lo, hi = calibration.beta1 * log_n, calibration.beta2 * log_n
+def _classify(config, active, sizes, pulls, votes, tickets, converged,
+              failed) -> list[GoodExecutionFlags]:
+    """The flags of a batch of trials of ``config``, under its calibration,
+    one row each. ``sizes``, ``pulls`` and ``votes`` are (trials, n+1)
+    counts per agent: tally size, commitment pulls by honest agents, and
+    intended votes from honest agents that no member pulled. Per trial,
+    ``tickets`` are the honest agents' tickets, ``converged`` says find-min
+    left every honest agent the same certificate and ``failed`` that one
+    of them failed coherence."""
+    log_n, cal = math.log(config.n), config.calibration
+    lo, hi = cal.beta1 * log_n, cal.beta2 * log_n
     band = sizes[:, active]
     in_band = ((lo <= band) & (band <= hi)).all(axis=1).tolist()
     covered = (pulls[:, active] > 0).all(axis=1).tolist()
@@ -695,7 +700,6 @@ def draw_chunks(seeds: Iterator[int], params: Params,
 
 
 def run_honest_trials(config: SimConfig, seeds: Iterable[int],
-                      calibration: Calibration = DEFAULT_CALIBRATION,
                       ) -> Iterator[tuple[Optional[int], Optional[int],
                                           GoodExecutionFlags]]:
     """``(outcome, winner, flags)`` of a coalition-free config at each seed,
@@ -721,11 +725,10 @@ def run_honest_trials(config: SimConfig, seeds: Iterable[int],
     if config.coalition is not None:
         raise ConfigError("run_honest_trials takes a coalition-free config")
     params = validate_config(config)
-    return _honest_trials(config, params, iter(seeds), calibration)
+    return _honest_trials(config, params, iter(seeds))
 
 
-def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int],
-                   calibration: Calibration):
+def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int]):
     n, q, m = params.n, params.phase_rounds, params.modulus
     colors = config.colors
     active = [u for u in range(1, n + 1) if u not in config.faulty]
@@ -795,8 +798,8 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int],
         outcomes, winners, tickets, converged, failed = zip(*results)
         # every active agent is honest and votes as drawn, so the tally
         # sizes are the untainted vote counts too
-        flags = _classify(params, calibration, act, sizes, pulls, sizes,
-                          tickets, converged, failed)
+        flags = _classify(config, act, sizes, pulls, sizes, tickets,
+                          converged, failed)
         yield from zip(outcomes, winners, flags)
 
 

@@ -29,6 +29,7 @@ from fairgossip.analysis import (
 import fairgossip
 from fairgossip import engine
 from fairgossip.engine import (
+    Calibration,
     CoalitionConfig,
     SimConfig,
     run_trial,
@@ -320,6 +321,11 @@ def test_cache_guards_its_config():
                                                 strategy="k_underbid"))
     with pytest.raises(ConfigError):
         run_equilibrium_experiment(other, 3, cache=cache)
+    # the same population, classified under another calibration
+    recalibrated = dataclasses.replace(
+        underbid_config(0), calibration=Calibration(beta1=0.5, beta2=2.5))
+    with pytest.raises(ConfigError):
+        run_equilibrium_experiment(recalibrated, 3, cache=cache)
 
 
 def test_cache_ignores_the_master_seed():
@@ -387,7 +393,7 @@ def test_claims_audit_under_attack_conditions_out_aborts():
     assert rep.eligible == 0        # every fabricated win aborted
     assert rep.claim1_violations == 0
     assert rep.claim3_passed is None and rep.claim4_passed is None
-    assert rep.passed
+    assert rep.passed is None       # nothing audited: indeterminate
 
 
 def test_claims_audit_counts_a_claim1_violation():
@@ -420,6 +426,11 @@ def test_auditor_rejects_mixed_configs():
         aud.add(run_trial(dataclasses.replace(
             underbid_config(1), coalition=CoalitionConfig(
                 members=(5,), strategy="honest"))))
+    # the same trials, classified under another calibration
+    with pytest.raises(ConfigError):
+        aud.add(run_trial(dataclasses.replace(
+            underbid_config(1), calibration=Calibration(beta1=0.5,
+                                                        beta2=2.5))))
     # the seed is not part of the config an audit is over
     aud.add(run_trial(underbid_config(1)))
     assert aud.traces_seen == 2

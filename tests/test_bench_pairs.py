@@ -126,7 +126,7 @@ def test_digests_report_page_faults_per_op(tmp_path):
         (trees[side] / "perfbench" / "worker.py").write_text(
             STUB_WORKER.format(pages=pages))
     doc = bench_pairs.digests(trees, "w", 7, 5)
-    assert doc["equal_ops"] == 5
+    assert doc["equal_ops"] == 5 and doc["differing_ops"] == []
     assert doc["parent"]["digest"] == doc["change"]["digest"]
     assert doc["parent"]["failed"] == doc["change"]["failed"] == 0
     faults = {side: doc[side]["minflt_per_op"] for side in trees}
@@ -157,3 +157,24 @@ def run_op(w, fg, k, base, out):
     assert counts["parent"]["python"] > 0 and counts["parent"]["c"] > 0
     assert counts["change"] == {"python": counts["parent"]["python"] + 25,
                                 "c": counts["parent"]["c"] + 25}
+
+
+def test_digests_name_the_ops_that_differ(tmp_path):
+    trees = {}
+    for side, odd in (("parent", 0), ("change", 3)):
+        trees[side] = tmp_path / side
+        (trees[side] / "perfbench").mkdir(parents=True)
+        # the change's op `odd` writes other bytes; every other op agrees
+        (trees[side] / "perfbench" / "worker.py").write_text(
+            STUB_WORKER.format(pages=0) + f"""
+_run_op = run_op
+def run_op(w, fg, k, base, out):
+    r = _run_op(w, fg, k, base, out)
+    if k == {odd}:
+        r.sha256 = hashlib.sha256(b"other bytes").hexdigest()
+    return r
+""")
+    doc = bench_pairs.digests(trees, "w", 7, 5)
+    assert doc["equal_ops"] == 4
+    assert doc["differing_ops"] == [3]
+    assert doc["parent"]["digest"] != doc["change"]["digest"]

@@ -265,6 +265,17 @@ def test_claims_subcommand(tmp_path):
     assert {r["color"] for r in rows[:-1]} == {1, 2}
 
 
+def test_claims_with_no_eligible_trace_is_indeterminate(tmp_path, capsys):
+    # at gamma 0.1 no trial classifies good: there is nothing to audit
+    out = tmp_path / "claims.jsonl"
+    assert main(["claims", "--n", "64", "--gamma", "0.1", "--trials", "20",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "claims verdict: indeterminate")
+    summary = read_lines(out)[-1]
+    assert (summary["eligible"], summary["passed"]) == (0, None)
+
+
 def test_scaling_subcommand(tmp_path):
     out = tmp_path / "scaling.jsonl"
     assert main(["scaling", "--sizes", "8,16", "--trials", "2",
@@ -359,6 +370,7 @@ def test_write_failure_reports_path(tmp_path, capsys):
     ["scaling", "--sizes", "8", "--trials", "1", "--faulty", "2,3"],
     ["run", "--n", "8", "--coalition", "1", "--option", "foo"],
     ["scaling", "--sizes", ""],     # no sizes, not the default ones
+    ["fairness", "--n", "8", "--trials", "4", "--beta2", "-1"],
 ], ids=" ".join)
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
@@ -490,7 +502,7 @@ VALID = {
     "--max-fail-rate": ["0.01", "1", "0"],
     "--alpha": ["0.25", "0", "1"],
     "--beta1": ["0.2", "0"],
-    "--beta2": ["8", "0"],
+    "--beta2": ["8", "0.2"],
     "--format": ["jsonl", "csv"],
     "--parallel": ["1", "2"],
 }
@@ -511,7 +523,7 @@ JUNK = {
     "--max-fail-rate": ["-1", "2", "x"],
     "--alpha": ["2", "nan", "x"],
     "--beta1": ["-1", "x"],
-    "--beta2": ["x"],
+    "--beta2": ["x", "0", "-1"],
     "--format": ["xml"],
     "--parallel": ["0", "-1", "x"],
 }

@@ -138,8 +138,8 @@ def test_num_colors_follows_palette():
 
 
 def test_calibration_from_document():
-    _, exp = parse_config({"n": 8, "calibration": {"beta1": 0.5}})
-    assert exp.calibration == Calibration(beta1=0.5)
+    sim, _ = parse_config({"n": 8, "calibration": {"beta1": 0.5}})
+    assert sim.calibration == Calibration(beta1=0.5)
 
 
 @pytest.mark.parametrize("doc", [
@@ -180,6 +180,8 @@ def test_calibration_from_document():
     {"n": 8, "colors": 3},
     {"n": 8, "sizes": 5},
     {"n": 8, "sizes": []},
+    {"n": 8, "calibration": {"beta1": 5, "beta2": 1}},   # an empty band
+    {"n": 8, "calibration": {"beta2": -1}},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):

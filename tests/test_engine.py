@@ -298,12 +298,12 @@ def test_honest_kernel_matches_run_trial(monkeypatch):
     total = 0
     for config, calibration, trials in _honest_cases():
         redrawn.clear()
-        fast = list(run_honest_trials(config, range(trials), calibration))
+        config = replace(config, calibration=calibration)
+        fast = list(run_honest_trials(config, range(trials)))
         if config.n == 100:
             events["n100_redraw"] += len(redrawn)
         for seed, got in enumerate(fast):
-            t = run_trial(replace(config, master_seed=seed), record=False,
-                          calibration=calibration)
+            t = run_trial(replace(config, master_seed=seed), record=False)
             assert got == (t.outcome, t.winner, t.flags), (config, seed)
             for f in seen:
                 seen[f].add(getattr(t.flags, f))
@@ -381,12 +381,32 @@ def test_honest_kernel_rejects_a_coalition():
 
 
 def test_calibration_band_is_injectable():
+    from fairgossip.analysis import (
+        iter_trials,
+        run_claims_experiment,
+        run_equilibrium_experiment,
+    )
+
     cfg = SimConfig(n=16, gamma=2.0, colors=HALF, master_seed=1)
     assert run_trial(cfg).flags.d2_votes_theta_logn
-    squeezed = run_trial(cfg, calibration=Calibration(beta1=0.2, beta2=0.5))
+    squeezed = run_trial(replace(cfg, calibration=Calibration(beta1=0.2,
+                                                              beta2=0.5)))
     assert not squeezed.flags.d2_votes_theta_logn
-    starved = run_trial(cfg, calibration=Calibration(beta1=50.0, beta2=99.0))
-    assert not starved.flags.d2_votes_theta_logn
+    starved = Calibration(beta1=50.0, beta2=99.0)
+    assert not run_trial(replace(cfg, calibration=starved)
+                         ).flags.d2_votes_theta_logn
+    # every entry point classifies under its config's calibration: a band
+    # no tally reaches leaves no good trial, no kept pair, nothing to audit
+    for calibration, good in ((Calibration(), True), (starved, False)):
+        plain = replace(cfg, calibration=calibration)
+        coalition = replace(plain, coalition=CoalitionConfig(members=(5,)))
+        flags = [f for _, _, f in run_honest_trials(plain, range(20))]
+        flags += [t.flags for t in iter_trials(coalition, range(20))]
+        assert any(f.d2_good for f in flags) == good
+        kept = run_equilibrium_experiment(coalition, 20).kept_pairs
+        assert (kept > 0) == good
+        eligible = run_claims_experiment(coalition, 20).eligible
+        assert (eligible > 0) == good
 
 
 def test_validate_config_rejections():

@@ -76,19 +76,19 @@ def _trace_lines(coalition=None):
             yield trace_json_line(run_trial(config))
 
 
-def _kernel_lines(config, calibration=Calibration()):
-    for result in run_honest_trials(config, range(300), calibration):
+def _kernel_lines(config):
+    for result in run_honest_trials(config, range(300)):
         yield repr(result)
 
 
 KERNEL_CASES = {
-    "kernel-n16": (SimConfig(n=16, gamma=1.5, colors=(1, 2) * 8),),
-    "kernel-n40-faulty": (SimConfig(
+    "kernel-n16": SimConfig(n=16, gamma=1.5, colors=(1, 2) * 8),
+    "kernel-n40-faulty": SimConfig(
         n=40, gamma=1.0, colors=tuple(u % 3 + 1 for u in range(40)),
-        num_colors=3, faulty=frozenset({2, 9, 33})),),
-    "kernel-n64-calibrated": (
-        SimConfig(n=64, gamma=2.0, colors=(1,) * 32 + (2,) * 32),
-        Calibration(beta1=0.5, beta2=2.5)),
+        num_colors=3, faulty=frozenset({2, 9, 33})),
+    "kernel-n64-calibrated": SimConfig(
+        n=64, gamma=2.0, colors=(1,) * 32 + (2,) * 32,
+        calibration=Calibration(beta1=0.5, beta2=2.5)),
 }
 
 DIGESTS = {
@@ -124,7 +124,7 @@ def group_lines(group):
         return _trace_lines()
     if group in STRATEGIES:
         return _trace_lines(_coalition(group))
-    return _kernel_lines(*KERNEL_CASES[group])
+    return _kernel_lines(KERNEL_CASES[group])
 
 
 def digest(lines) -> str:
@@ -198,9 +198,10 @@ CLI_DIGESTS = {
         "067fcd7646b2c1b893223925816d5a5576abb1eaa6821f24863e81edb613e86c",
     "claims --n 16 --gamma 2 --coalition 1,5 --trials 30":
         "cc0c65c83fe20942abf7974905056528a356c1e10807758e5f564e9a5e26267d",
+    # no eligible trace: "passed": null, verdict indeterminate
     "claims --n 32 --gamma 3 --colors 16x1,16x2 --coalition 1,17 "
     "--strategy k_underbid --trials 20":
-        "3f52d905d2cd100a8ef98a1da572bd73e48b66f95674886a5b928bb36ed26ba6",
+        "ab1bba7627a7ebb59557dc5bba060b056e853317f2f7d0f58c79a383fe6ac89d",
     "scaling --sizes 8,16,32 --trials 3":
         "467e883e78119cffcf2c4f585354c6eecc4806e90e4fe46c98dbf3720a105abf",
 }

@@ -27,7 +27,9 @@ per file and in total.
 Optional sections, each also run in both trees:
   --digest W=N     the output sha256 of ops 1..N of workload W at seed
                    S-1, one per op, through perfbench/worker.py's run_op,
-                   the median and mean minor page faults per op, and the
+                   the count of ops whose sha256 is equal in both trees
+                   and the 1-based numbers of those that differ, the
+                   median and mean minor page faults per op, and the
                    median Python and C function calls per op, counted by
                    sys.setprofile in a second pass over the same ops (it
                    takes about three times as long as the first);
@@ -273,8 +275,10 @@ def digests(trees: dict[str, Path], workload: str, seed: int,
                          kind: statistics.median(c[i] for c in got["calls"])
                          for i, kind in enumerate(("python", "c"))}}
         shas[side] = got["ops"]
-    doc["equal_ops"] = sum(a == b for a, b in zip(shas["parent"],
-                                                  shas["change"]))
+    same = [a == b for a, b in zip(shas["parent"], shas["change"])]
+    doc["equal_ops"] = sum(same)
+    doc["differing_ops"] = [k for k, equal in enumerate(same, 1)
+                            if not equal]
     return doc
 
 
