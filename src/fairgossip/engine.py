@@ -38,7 +38,7 @@ from fairgossip.protocol import (
     draw_agents,
     draw_batch,
     make_certificate,
-    min_certificate,
+    min_certificate,  # not called; perfbench/worker.py wraps it here
     payoff,
     record_commitment,
     valid_intention,
@@ -249,14 +249,14 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # Per-agent randomness: one value block then one target block per agent,
     # consumed in phase order. Faulty agents draw too — draws are a function
     # of (seed, id) alone, so the fault set never shifts anyone's stream.
-    # Row j of `columns` holds every active agent's j-th drawn target: q
-    # vote targets, then q for each of commitment, find-min and coherence.
+    # Row j of `columns` holds every active agent's j-th drawn pull or push
+    # target: q for each of commitment, find-min and coherence.
     drawn_values, drawn_targets = (draw_agents(seed, params)
                                    if draws is None else draws)
     intentions: list = [
         tuple(zip(values, targets)) for values, targets in
         zip(drawn_values.tolist(), drawn_targets[:, :q].tolist())]
-    columns = drawn_targets[active].T.tolist()
+    columns = drawn_targets[active, q:].T.tolist()
 
     chosen: list = list(intentions)  # what each agent actually casts
 
@@ -302,7 +302,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     n_msgs = 0
     n_bits = 0
     pairs = 0       # pulls of a plain agent by another: a request and a reply
-    for rnd, col in enumerate(columns[q:2 * q], 1):
+    for rnd, col in enumerate(columns[:q], 1):
         for u, t in zip(active, col):
             if not plain[u]:
                 t = strategy.choose_commit_target(views[u], rnd, t)
@@ -356,58 +356,62 @@ def run_trial(config: SimConfig, *, record: bool = True,
                      n_bits + pairs * (b_pull + b_reply)))
 
     # --- voting: q rounds of pushing vote values --------------------------
-    tallies: list = [None] * (n + 1)
-    for u in active:
-        tallies[u] = []
-    votes_log: Optional[list] = [] if record else None
-
-    n_msgs = 0
-    n_bits = 0
+    # Row i holds the q votes active[i] pushes, in round order: an honest
+    # agent's as drawn, a member's as its hook returns them, in (round, id)
+    # order. A withheld vote has target 0, whose tally is never read, nor
+    # is a faulty receiver's.
+    senders = np.array(active)
+    cast_values = drawn_values[senders]
+    cast_targets = drawn_targets[senders, :q]
+    rows = {b: active.index(b) for b in sorted(members)}
     for rnd in range(1, q + 1):
-        for u in active:
-            if not plain[u]:
-                vote = strategy.choose_vote(views[u], rnd,
-                                            chosen[u][rnd - 1])
-                if vote is None:
-                    continue
-                if not valid_vote(vote, params):
-                    raise StrategyError(f"member {u}: bad vote {vote!r}")
-                value, target = vote
-            else:
-                value, target = chosen[u][rnd - 1]
-            if target != u:
-                n_msgs += 1
-                n_bits += b_vote
-                if messages is not None:
-                    messages.append((PHASE_VOTING, rnd, u, target,
-                                     "vote_push", b_vote))
-            if votes_log is not None:
-                votes_log.append((rnd, u, target, value))
-            if target not in faulty:
-                tallies[target].append((value, u, rnd))
-    by_phase.append((PHASE_VOTING, n_msgs, n_bits))
+        for b, i in rows.items():
+            vote = strategy.choose_vote(views[b], rnd, chosen[b][rnd - 1])
+            if vote is None:
+                cast_targets[i, rnd - 1] = 0
+                continue
+            if not valid_vote(vote, params):
+                raise StrategyError(f"member {b}: bad vote {vote!r}")
+            cast_values[i, rnd - 1], cast_targets[i, rnd - 1] = vote
+    pushed = ((cast_targets != senders[:, None]) & (cast_targets > 0)).sum()
+    by_phase.append((PHASE_VOTING, int(pushed), int(pushed) * b_vote))
+    votes_log: Optional[list] = None
+    if record:
+        # (round, sender) order: down each round's column in turn
+        by_round = cast_targets.T > 0
+        rnd_index, row = np.nonzero(by_round)
+        votes_log = list(zip((rnd_index + 1).tolist(),
+                             senders[row].tolist(),
+                             cast_targets.T[by_round].tolist(),
+                             cast_values.T[by_round].tolist()))
+        messages.extend((PHASE_VOTING, rnd, u, target, "vote_push", b_vote)
+                        for rnd, u, target, _ in votes_log if target != u)
+    sizes, sums = _tally(cast_targets.ravel(), cast_values, n + 1, m)
+    tally_sizes = dict(zip(active, sizes[senders].tolist()))
+    tickets = dict(zip(active, sums[senders].tolist()))
 
-    tickets: dict[int, int] = {}
-    tally_sizes: dict[int, int] = {}
-    ce_min: list = [None] * (n + 1)
-    ce_bits: list = [0] * (n + 1)     # certificate_bits(ce_min[u], widths)
-    ce_ticket: list = [0] * (n + 1)   # ce_min[u].ticket
-    for u in active:
-        cert = make_certificate(tallies[u], colors[u - 1], u, m)
-        tickets[u] = cert.ticket
-        tally_sizes[u] = len(tallies[u])
-        if not plain[u]:
-            own = cert
-            cert = strategy.declare_certificate(views[u], own)
-            if cert is not own:
-                _check_cert(u, cert, params)
-                if cert.owner != u:
-                    raise StrategyError(f"member {u}: declared certificate "
-                                        f"owned by {cert.owner}")
-            views[u].ce_min = cert
-        ce_min[u] = cert
-        ce_bits[u] = certificate_bits(cert, widths)
-        ce_ticket[u] = cert.ticket
+    # An honest certificate is held as its owner's id until something reads
+    # it (see _Certificates); ce_ticket and ce_bits hold its ticket and
+    # certificate_bits, which depends only on its size. A member's own
+    # certificate is built for its declare_certificate hook, and a member
+    # only ever holds built ones.
+    certs = _Certificates(senders, cast_values, cast_targets, colors, m)
+    ce_min: list = list(range(n + 1))
+    ce_ticket: list = sums.tolist()
+    head_bits = widths.value + widths.color + widths.agent
+    vote_bits = widths.value + widths.agent + widths.round
+    ce_bits: list = [head_bits + size * vote_bits for size in sizes.tolist()]
+    for b in rows:
+        own = certs.get(b)
+        cert = strategy.declare_certificate(views[b], own)
+        if cert is not own:
+            _check_cert(b, cert, params)
+            if cert.owner != b:
+                raise StrategyError(f"member {b}: declared certificate "
+                                    f"owned by {cert.owner}")
+            ce_bits[b] = certificate_bits(cert, widths)
+            ce_ticket[b] = cert.ticket
+        views[b].ce_min = ce_min[b] = cert
 
     # --- find-min: q rounds of pulling the smallest certificate ----------
     # Pulls within a round are serialized in agent order; a reply carries
@@ -417,7 +421,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     n_bits = 0
     pairs = 0           # pulls of a plain agent by another
     pair_bits = 0       # the certificate replies' bits of those pulls
-    for rnd, col in enumerate(columns[2 * q:3 * q], 1):
+    for rnd, col in enumerate(columns[q:2 * q], 1):
         for u, t in zip(active, col):
             if not plain[u]:
                 t = strategy.choose_findmin_target(views[u], rnd, t)
@@ -440,6 +444,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
                         ce_bits[u] = bits
                         ce_ticket[u] = ce_ticket[t]
                         if not plain[u]:
+                            ce_min[u] = certs.get(ce_min[t])
                             views[u].ce_min = ce_min[u]
                 continue
             if t != u:
@@ -466,21 +471,22 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 if messages is not None:
                     messages.append((PHASE_FIND_MIN, rnd, t, u,
                                      "cert_reply", bits))
-            folded = min_certificate(ce_min[u], reply)
-            if folded is not ce_min[u]:
-                ce_min[u] = folded
+            # min_certificate: only a strictly smaller ticket wins
+            if reply.ticket < ce_ticket[u]:
+                ce_min[u] = reply
                 ce_bits[u] = bits
-                ce_ticket[u] = folded.ticket
+                ce_ticket[u] = reply.ticket
                 if not plain[u]:
-                    views[u].ce_min = folded
+                    views[u].ce_min = reply
     by_phase.append((PHASE_FIND_MIN, n_msgs + 2 * pairs,
                      n_bits + pairs * b_pull + pair_bits))
 
     # --- coherence: q rounds of pushing; a conflicting certificate is fatal
     failures: dict[int, int] = {}
+    same = certs.same
     n_msgs = 0
     n_bits = 0
-    for rnd, col in enumerate(columns[3 * q:], 1):
+    for rnd, col in enumerate(columns[2 * q:], 1):
         inbox: list = []
         for u, target in zip(active, col):
             if not plain[u]:
@@ -510,21 +516,22 @@ def run_trial(config: SimConfig, *, record: bool = True,
             if target in faulty or target in failures:
                 continue
             mine = ce_min[target]
-            if cert is not mine and cert != mine:
+            if cert is not mine and not same(cert, mine):
                 failures[target] = rnd
     by_phase.append((PHASE_COHERENCE, n_msgs, n_bits))
 
     # --- verification: accept the winner or abort -------------------------
     # Every agent, member or not, audits each distinct certificate once
     # (see _audit) and checks the audit against its own ledger.
+    cert_min = {u: certs.get(ce_min[u]) for u in active}
     decisions: dict[int, Optional[int]] = {}
     audits: dict[int, Optional[tuple]] = {}
     for u in active:
-        cert = ce_min[u]
         if u in failures:
             default = None
         else:
-            key = id(cert)      # ce_min holds every cert for the whole loop
+            cert = cert_min[u]
+            key = id(cert)      # cert_min holds every cert for the whole loop
             if key not in audits:
                 audits[key] = _audit(cert, m, intentions, plain, member_set)
             default = (None if _rejection(audits[key], declared[u])
@@ -541,9 +548,10 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # nothing replaces a certificate after find-min, so this is both
     # find-min's convergence and the agreement coherence ends in
     head = ce_min[honest[0]]
-    converged = all(ce_min[u] is head or ce_min[u] == head for u in honest)
+    converged = all(ce_min[u] is head or same(ce_min[u], head)
+                    for u in honest)
     failed = any(u in failures for u in honest)
-    winner = head.owner if converged and not failed else None
+    winner = cert_min[honest[0]].owner if converged and not failed else None
 
     first_decision = decisions[honest[0]]
     if first_decision is not None and all(
@@ -553,11 +561,9 @@ def run_trial(config: SimConfig, *, record: bool = True,
         outcome = None
 
     # honest agents pull and vote for their drawn targets
-    sizes = np.zeros((1, n + 1), dtype=np.int64)
-    sizes[0, active] = [tally_sizes[u] for u in active]
     untainted = [v for v in honest if v not in coalition_pulled]
     flags, = _classify(
-        config, active, sizes,
+        config, active, sizes[None],
         np.bincount(drawn_targets[honest, q:2 * q].ravel(),
                     minlength=n + 1)[None],
         np.bincount(drawn_targets[untainted, :q].ravel(),
@@ -578,7 +584,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
         first_declarations=first_declarations,
         tickets=tickets,
         tally_sizes=tally_sizes,
-        cert_min={u: ce_min[u] for u in active},
+        cert_min=cert_min,
         faulty_marks={u: tuple(sorted(v for v, d in declared[u].items()
                                       if d is None))
                       for u in active},
@@ -650,6 +656,72 @@ def _rejection(audit: Optional[tuple], declarations: dict) -> Optional[str]:
     return None
 
 
+# Tickets are summed in int64 while the largest tally's bound
+# (votes x modulus) stays below this; past it, in Python ints.
+_I64_SUM_LIMIT = 2 ** 63
+
+
+def _tally(bins: np.ndarray, values: np.ndarray, size: int,
+           modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tally sizes and tickets of receivers 0..size-1, where vote i has
+    value ``values.flat[i]`` and goes to receiver ``bins[i]``: the sizes and
+    the sums mod ``modulus``, as arrays, the sums holding Python ints once
+    they may pass int64."""
+    sizes = np.bincount(bins, minlength=size)
+    dtype = np.int64 if int(sizes.max()) * modulus < _I64_SUM_LIMIT else object
+    sums = np.zeros(size, dtype=dtype)
+    np.add.at(sums, bins, values.ravel().astype(dtype))
+    return sizes, sums % modulus
+
+
+class _Certificates:
+    """The certificate each receiver would build over the votes it got, as
+    ``run_trial`` holds them. Until something reads one, a holder keeps its
+    owner's id; ``get`` builds it on first read, through
+    ``make_certificate`` in (sender, round) order, and hands every later
+    reader that same object."""
+
+    __slots__ = ("senders", "values", "targets", "colors", "modulus",
+                 "built")
+
+    def __init__(self, senders: np.ndarray, values: np.ndarray,
+                 targets: np.ndarray, colors: tuple, modulus: int):
+        # row i: the votes of senders[i], in round order; senders ascend
+        self.senders, self.values, self.targets = senders, values, targets
+        self.colors, self.modulus = colors, modulus
+        self.built: dict[int, Certificate] = {}
+
+    def get(self, held) -> Certificate:
+        """The certificate ``held`` stands for: itself, or its owner's."""
+        if type(held) is not int:
+            return held
+        cert = self.built.get(held)
+        if cert is None:
+            row, col = np.nonzero(self.targets == held)
+            cert = self.built[held] = make_certificate(
+                zip(self.values[row, col].tolist(),
+                    self.senders[row].tolist(), (col + 1).tolist()),
+                self.colors[held - 1], held, self.modulus)
+        return cert
+
+    def same(self, a, b) -> bool:
+        """Whether held certificates ``a`` and ``b`` are equal. Two ids are
+        equal only if they are one owner's, and a certificate of another
+        owner differs from an id without being built."""
+        if a is b:
+            return True
+        if type(a) is int:
+            if type(b) is int:
+                return a == b
+            a, b = b, a
+        elif type(b) is not int:
+            return a == b
+        if a.owner != b:
+            return False
+        cert = self.get(b)
+        return a is cert or a == cert
+
+
 def _classify(config, active, sizes, pulls, votes, tickets, converged,
               failed) -> list[GoodExecutionFlags]:
     """The flags of a batch of trials of ``config``, under its calibration,
@@ -677,10 +749,6 @@ def _classify(config, active, sizes, pulls, votes, tickets, converged,
 
 
 # --- coalition-free kernel ------------------------------------------------
-
-# Tickets are summed in int64 while the largest tally's bound
-# (votes x modulus) stays below this; past it, in Python ints.
-_I64_SUM_LIMIT = 2 ** 63
 
 # Seeds are drawn in chunks of at most this many stream words (seeds x
 # agents x 5q): about 1 MB of words, and arrays of a few MB per chunk in
@@ -740,13 +808,10 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int]):
         # one bin per (seed, agent); a vote to a faulty receiver is
         # dropped, and its bin is never read
         offsets = (n + 1) * np.arange(len(chunk))[:, None, None]
-        bins = (targets[:, :, :q] + offsets).ravel()
         size = len(chunk) * (n + 1)
-        sizes = np.bincount(bins, minlength=size)
-        dtype = np.int64 if int(sizes.max()) * m < _I64_SUM_LIMIT else object
-        sums = np.zeros(size, dtype=dtype)
-        np.add.at(sums, bins, values.ravel().astype(dtype))
-        tallies = (sums.reshape(-1, n + 1) % m).tolist()
+        sizes, sums = _tally((targets[:, :, :q] + offsets).ravel(), values,
+                             size, m)
+        tallies = sums.reshape(-1, n + 1).tolist()
         sizes = sizes.reshape(-1, n + 1)
         pulls = np.bincount((targets[:, :, q:2 * q] + offsets).ravel(),
                             minlength=size).reshape(-1, n + 1)

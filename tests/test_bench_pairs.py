@@ -56,6 +56,30 @@ def test_claim_fails_on_a_gap_inside_the_iqr_or_more_failed_ops():
     assert not bench_pairs.judge(summary, "rate", "higher")["met"]
 
 
+def test_claim_needs_the_ratio_interval_clear_of_one():
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+    change = [120, 119, 121, 118, 122, 120, 117, 123, 99, 120]
+    summary = bench_pairs.summarize("w", _pairs(parent, change), METRICS)
+    claim = bench_pairs.judge(summary, "rate", "higher")
+    assert claim["met"] and claim["interval_clear_of_1"]
+    assert claim["ratio_interval"] == pytest.approx([117 / 103, 121 / 98])
+    # at ten pairs nine wins put r(2) above 1, so summarize never gives
+    # this one; judge still reads the interval, not the wins alone
+    spans = summary["metrics"]["rate"]["ratio_interval"] = [0.99, 1.2]
+    summary["metrics"]["ms"]["ratio_interval"] = [1 / r for r in spans[::-1]]
+    for name, better in (("rate", "higher"), ("ms", "lower")):
+        claim = bench_pairs.judge(summary, name, better)
+        assert claim["wins"] == 9
+        assert claim["median_gap"] > claim["parent_iqr_width"]
+        assert not claim["interval_clear_of_1"] and not claim["met"]
+    # below six pairs there is no interval, so every win is not enough
+    summary = bench_pairs.summarize("w", _pairs(parent[:5], change[:5]),
+                                    METRICS)
+    claim = bench_pairs.judge(summary, "rate", "higher")
+    assert claim["wins"] == 5 and claim["ratio_interval"] is None
+    assert not claim["met"]
+
+
 def test_regression_past_the_bound_is_flagged():
     parent = [100] * 10
     change = [70] * 10

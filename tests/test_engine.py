@@ -368,9 +368,21 @@ def test_honest_kernel_sums_past_int64_in_python_ints(monkeypatch):
 
     config = SimConfig(n=17, gamma=1.0, colors=tuple([1] * 9 + [2] * 8),
                        faulty=frozenset({4}))
+
+    def coalition_traces():
+        # run_trial's tallies go through the same sum
+        return [trace_json_line(run_trial(replace(
+                    config, master_seed=seed,
+                    coalition=CoalitionConfig(members=(9, 1),
+                                              strategy=strategy))))
+                for strategy in ("k_underbid", "commitment_mismatch")
+                for seed in range(20)]
+
     expected = list(run_honest_trials(config, range(300)))
+    traces = coalition_traces()
     monkeypatch.setattr(engine, "_I64_SUM_LIMIT", 0)
     assert list(run_honest_trials(config, range(300))) == expected
+    assert coalition_traces() == traces
 
 
 def test_honest_kernel_rejects_a_coalition():
@@ -794,6 +806,144 @@ def test_copied_defaults_are_checked_and_change_nothing(wire_checks, faulty):
         wire_checks.clear()
         trace.config = replace(honest, master_seed=seed)
         assert trace_json_line(trace) == expected
+
+
+@register
+class _HookLog(DeviationStrategy):
+    """Logs every hook call in ``log`` and draws a number from ``ctx.rng``
+    on each. An entry holds the hook, the member, the round, the requester
+    or target, whether the default is the member's own object (its chosen
+    intention, or its current certificate), the draw, and the certificates
+    involved as (number, owner, ticket), numbered by identity in the order
+    first seen. The draw also picks a deviation now and then: a withheld or
+    retargeted vote, a skipped find-min pull, an equal copy or a forged
+    variant of the certificate it sends."""
+
+    name = "_test_hook_log"
+    log = []
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self._seen = []      # certificate objects, in the order first seen
+
+    def _cert(self, cert):
+        if cert is None:
+            return None
+        for number, seen in enumerate(self._seen):
+            if seen is cert:
+                break
+        else:
+            number = len(self._seen)
+            self._seen.append(cert)
+        return number, cert.owner, cert.ticket
+
+    def _note(self, hook, view, *where, own=None, default=None):
+        draw = int(self.ctx.rng.integers(1 << 20))
+        self.log.append((hook, view.id, where, own, draw,
+                         self._cert(view.ce_min),
+                         self._cert(default) if isinstance(
+                             default, Certificate) else default))
+        return draw
+
+    def _forge(self, cert):
+        # the last vote rewritten so the ticket is 0, owner and colour kept
+        if not cert.votes:
+            return cert
+        m = self.ctx.params.modulus
+        votes = list(cert.votes)
+        value, sender, rnd = votes[-1]
+        votes[-1] = ((value - cert.ticket) % m or m, sender, rnd)
+        return Certificate(vote_sum(votes, m), tuple(votes), cert.color,
+                           cert.owner)
+
+    def _send(self, draw, default):
+        if default is None or draw % 7 > 1:
+            return default
+        return replace(default) if draw % 7 else self._forge(default)
+
+    def choose_intention(self, view, default):
+        self._note("choose_intention", view, default=default)
+        return default
+
+    def choose_commit_target(self, view, round_index, default):
+        self._note("choose_commit_target", view, round_index, default)
+        return default
+
+    def reply_to_pull(self, view, requester, round_index, default):
+        self._note("reply_to_pull", view, round_index, requester,
+                   own=default is view.chosen_intention)
+        return default
+
+    def choose_vote(self, view, round_index, default):
+        own = default is view.chosen_intention[round_index - 1]
+        draw = self._note("choose_vote", view, round_index, default, own=own)
+        if draw % 11 == 0:
+            return None
+        if draw % 11 == 1:
+            return default[0], draw % self.ctx.params.n + 1
+        return default
+
+    def declare_certificate(self, view, default):
+        self._note("declare_certificate", view, default=default)
+        return default
+
+    def choose_findmin_target(self, view, round_index, default):
+        draw = self._note("choose_findmin_target", view, round_index, default)
+        return None if draw % 9 == 0 else default
+
+    def findmin_reply(self, view, requester, round_index, default):
+        draw = self._note("findmin_reply", view, round_index, requester,
+                          own=default is view.ce_min, default=default)
+        return self._send(draw, default)
+
+    def coherence_push(self, view, round_index, target, default):
+        draw = self._note("coherence_push", view, round_index, target,
+                          own=default is view.ce_min, default=default)
+        return self._send(draw, default)
+
+    def final_decision(self, view, default):
+        self._note("final_decision", view, default=default)
+        return default
+
+
+#: sha256 of the hook logs and traces of every ``_hook_log_cases`` trial
+HOOK_LOG_SHA256 = (
+    "9f2a5dd459d88c4fd417f45927955c593f82fd1835fac95f7283e2069a7a97ea")
+
+
+def _hook_log_cases():
+    for n in (5, 17, 64):
+        colors = tuple(u % 2 + 1 for u in range(n))
+        for members in ((1, 4), (5, 3), (34, 1, 33, 2)):
+            if max(members) > n:
+                continue
+            faults = frozenset(u for u in range(1, n + 1)
+                               if u % 4 == 2 and u not in members)
+            for faulty in (frozenset(), faults):
+                for seed in range(6):
+                    config = SimConfig(
+                        n=n, gamma=1.5, colors=colors, faulty=faulty,
+                        coalition=CoalitionConfig(members=members,
+                                                  strategy="_test_hook_log"),
+                        master_seed=seed)
+                    for record in (True, False):
+                        yield config, record
+
+
+def test_hook_calls_follow_the_frozen_sequence():
+    # which hook runs when, with which defaults and which certificate
+    # objects, across unsorted member tuples, faults and both record modes
+    import hashlib
+
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for config, record in _hook_log_cases():
+            _HookLog.log.clear()
+            line = trace_json_line(run_trial(config, record=record))
+            h.update(repr(_HookLog.log).encode())
+            h.update(line.encode())
+    assert h.hexdigest() == HOOK_LOG_SHA256
 
 
 def test_trace_dict_is_plain_data():

@@ -7,23 +7,29 @@ of n and seeds in three colours, with and without crashed agents; each
 strategy group is the same grid (n >= 5) with agents 1 and 4 in the
 coalition; each ``kernel-*`` group is ``run_honest_trials`` over 300
 seeds. Every flag goes both ways in the ``plain`` group, aborts and
-undetected splits included.
+undetected splits included. The ``n64-*`` groups are the benchmark's
+attack configs (n=64, gamma 4, two colour halves, members 1, 2, 33 and
+34) under each of its four strategies, recorded and unrecorded, and
+``n256`` is recorded coalition-free trials at the size of its trace
+workload.
 
 ``CLI_DIGESTS`` holds one digest per command line of ``fairgossip``, over
 its exit code, stdout, stderr and the bytes it writes to ``--out``.
 
 A change that is meant to move output re-freezes the digests in the same
-change and says why: ROADMAP item 1 (synchronous find-min rounds) is the
+change and says why: ROADMAP item 3 (synchronous find-min rounds) is the
 next one that will.
 """
 
 import hashlib
 import shlex
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from fairgossip.cli import main
+from fairgossip.config import expand_colors
 from fairgossip.engine import (
     Calibration,
     CoalitionConfig,
@@ -91,6 +97,31 @@ KERNEL_CASES = {
         calibration=Calibration(beta1=0.5, beta2=2.5)),
 }
 
+#: attack-n64's strategies, each at ATTACK_SEEDS with and without
+#: recording
+ATTACK_STRATEGIES = ("k_underbid", "commitment_mismatch", "fake_faulty",
+                     "coherence_silence")
+ATTACK_SEEDS = range(20)
+ATTACK_GROUPS = {f"n64-{strategy}{suffix}": (strategy, record)
+                 for strategy in ATTACK_STRATEGIES
+                 for suffix, record in (("", True), ("-unrecorded", False))}
+
+
+def _attack_lines(strategy, record):
+    config = SimConfig(n=64, gamma=4.0, colors=expand_colors("32x1,32x2", 64),
+                       coalition=CoalitionConfig(members=(1, 2, 33, 34),
+                                                 strategy=strategy))
+    for seed in ATTACK_SEEDS:
+        yield trace_json_line(run_trial(replace(config, master_seed=seed),
+                                        record=record))
+
+
+def _n256_lines():
+    config = SimConfig(n=256, gamma=4.0, colors=expand_colors(None, 256))
+    for seed in range(3):
+        yield trace_json_line(run_trial(replace(config, master_seed=seed)))
+
+
 DIGESTS = {
     "plain":
         "9d02a5fe0e8421795cf85c18e6f64c683f8c66cec6ae95ce2a80e3d47c3b38c8",
@@ -116,6 +147,24 @@ DIGESTS = {
         "2e76096a20f3570e5b5ec7a8041c7e3d9b0d18ff638c8c7ed86ee4b3777025ae",
     "kernel-n64-calibrated":
         "76845ef60601b9850dc250074e0beed0606a4ee0354e5b61318494ef30d9cd83",
+    "n64-k_underbid":
+        "13721e3947c5e90c5256e58443abd88012fecfd116d5f65e005c2ae6bcb0334e",
+    "n64-k_underbid-unrecorded":
+        "f4a0144501827af36142d8b13861c487f479529b0fc5598ee3e8c78adcfba854",
+    "n64-commitment_mismatch":
+        "2853bb1ef99ac9937f7af605f95e33919e74c5a28f586f1621f9090e984d9719",
+    "n64-commitment_mismatch-unrecorded":
+        "1477a32f935a69bf0d10f7d646d520893d2ed572c8d06cec4e58940630a16bfa",
+    "n64-fake_faulty":
+        "a966ba1e160d16f4b7d3615f7d948c886f8bd6dfbd8e1d57b258fbef2822795c",
+    "n64-fake_faulty-unrecorded":
+        "330a427fdd314a424c260cf986382db00bfeade28784c76b8c9beaff3cd42c50",
+    "n64-coherence_silence":
+        "3344a695b38feb1f0b2f809836c59d944f67770c9e8b0b3feeb7f9bf6aad34dc",
+    "n64-coherence_silence-unrecorded":
+        "8487ac523b67f6ec2bf41ecc10b434c834989ad3243424dbc4aa93ebf15363ac",
+    "n256":
+        "2c09be14cfcf25826d3406821cd0ba962ea0a715046cd619200e1ad6f7d77e07",
 }
 
 
@@ -124,6 +173,10 @@ def group_lines(group):
         return _trace_lines()
     if group in STRATEGIES:
         return _trace_lines(_coalition(group))
+    if group in ATTACK_GROUPS:
+        return _attack_lines(*ATTACK_GROUPS[group])
+    if group == "n256":
+        return _n256_lines()
     return _kernel_lines(KERNEL_CASES[group])
 
 

@@ -16,10 +16,10 @@ pair. For each end-to-end metric this reports the median and
 quartiles per side, the pairs the change won, and how far the change's
 median is from the parent's in the metric's worse direction against the
 bound in BENCHMARK.json, and the median of the per-pair change/parent
-ratios with a sign-test interval around it (reported, not judged). The
-claim holds when the change wins at least nine tenths of the pairs, its
-median beats the parent's by more than the parent's interquartile range,
-and no more of its ops fail.
+ratios with a sign-test interval around it. The claim holds when the
+change wins at least nine tenths of the pairs, its median beats the
+parent's by more than the parent's interquartile range, that interval
+lies wholly on the better side of 1, and no more of its ops fail.
 
 The output also holds each tree's line counts of src/fairgossip/*.py,
 per file and in total.
@@ -34,8 +34,9 @@ Optional sections, each also run in both trees:
                    sys.setprofile in a second pass over the same ops (it
                    takes about three times as long as the first);
   --kernel         40 alternating rounds of in-process timings of
-                   protocol.draw_batch, engine.run_honest_trials and
-                   analysis.iter_trials;
+                   protocol.draw_batch, engine.run_honest_trials,
+                   analysis.iter_trials under each attack-n64 strategy
+                   and a recorded engine.run_trial at n=256;
   --tier1          the tier-1 tests, in the order change, parent, parent,
                    change.
 Nothing under perfbench/ is changed; its files are only run or imported.
@@ -163,13 +164,19 @@ def judge(summary: dict, metric: str, better: str) -> dict:
         gap = -gap
     q1, q3 = m["parent_iqr"]
     needed = math.ceil(0.9 * pairs)
+    interval = m["ratio_interval"]
+    # None below 6 pairs: too few for the sign test to rule out no change
+    clear = interval is not None and (interval[0] > 1 if better == "higher"
+                                      else interval[1] < 1)
     return {"workload": summary["workload"], "metric": metric,
-            "rule": "change ahead in at least nine tenths of the pairs, and "
-                    "median gap larger than the parent's IQR width",
+            "rule": "change ahead in at least nine tenths of the pairs, "
+                    "median gap larger than the parent's IQR width, and "
+                    "the ratio interval wholly on the better side of 1",
             "wins_needed": needed, "wins": m["change_ahead_pairs"],
             "median_gap": gap, "parent_iqr_width": q3 - q1,
+            "ratio_interval": interval, "interval_clear_of_1": clear,
             "met": (m["change_ahead_pairs"] >= needed and gap > q3 - q1
-                    and summary["failed"]["change"]
+                    and clear and summary["failed"]["change"]
                     <= summary["failed"]["parent"])}
 
 
@@ -214,25 +221,32 @@ KERNEL_CALLS = 30
 KERNEL_ROUNDS = 40
 KERNEL_SCRIPT = """
 import json, sys, time
+from dataclasses import replace
 from fairgossip.analysis import iter_trials
-from fairgossip.engine import CoalitionConfig, SimConfig, run_honest_trials
+from fairgossip.engine import (CoalitionConfig, SimConfig, run_honest_trials,
+                               run_trial)
 from fairgossip.protocol import derive_params, draw_agents, draw_batch
 base, calls = int(sys.argv[1]), int(sys.argv[2])
 p64, p256 = derive_params(64, 4.0), derive_params(256, 4.0)
 cfg = SimConfig(n=64, gamma=4.0, colors=(1,) * 32 + (2,) * 32)
-# attack-n64's coalition and one of its strategies
-attack = SimConfig(n=64, gamma=4.0, colors=cfg.colors,
-                   coalition=CoalitionConfig(members=(1, 2, 33, 34),
-                                             strategy="k_underbid"))
+# trace-n256's config: n=256, gamma 4, alternating colours
+cfg256 = SimConfig(n=256, gamma=4.0, colors=(1, 2) * 128)
 cases = {
     "draw_batch_16_n64": lambda s: draw_batch(range(s, s + 16), p64),
     "draw_agents_n64": lambda s: draw_agents(s, p64),
     "draw_agents_n256": lambda s: draw_agents(s, p256),
     "run_honest_trials_16_n64":
         lambda s: list(run_honest_trials(cfg, range(s, s + 16))),
-    "iter_trials_k_underbid_4_n64":
-        lambda s: list(iter_trials(attack, range(s, s + 4))),
 }
+# attack-n64's coalition under each of its strategies
+for strategy in ("k_underbid", "commitment_mismatch", "fake_faulty",
+                 "coherence_silence"):
+    attack = replace(cfg, coalition=CoalitionConfig(
+        members=(1, 2, 33, 34), strategy=strategy))
+    cases[f"iter_trials_{strategy}_4_n64"] = (
+        lambda s, attack=attack: list(iter_trials(attack, range(s, s + 4))))
+cases["run_trial_recorded_n256"] = (
+    lambda s: run_trial(replace(cfg256, master_seed=s)))
 out = {}
 for name, case in cases.items():
     case(base)
