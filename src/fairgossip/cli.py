@@ -335,8 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-fail-rate", type=float, dest="max_fail_rate")
     common.add_argument("--alpha", type=float,
                         help="fault fraction for --faulty random")
-    common.add_argument("--beta1", type=float, help="calibration override")
-    common.add_argument("--beta2", type=float, help="calibration override")
+    calibration = ("calibration override: the tally band, in units of ln n, "
+                   "behind the d2_votes_theta_logn flag; fairness reads no "
+                   "flags and ignores it")
+    common.add_argument("--beta1", type=float, help=calibration)
+    common.add_argument("--beta2", type=float, help=calibration)
     common.add_argument("--out", help=f"output path (relative paths land "
                                       f"in ${OUT_DIR_ENV} when set)")
     common.add_argument("--format", choices=("jsonl", "csv"),

@@ -249,14 +249,19 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # Per-agent randomness: one value block then one target block per agent,
     # consumed in phase order. Faulty agents draw too — draws are a function
     # of (seed, id) alone, so the fault set never shifts anyone's stream.
-    # Row j of `columns` holds every active agent's j-th drawn pull or push
-    # target: q for each of commitment, find-min and coherence.
+    # Row i of `pulls` holds active[i]'s q drawn commitment targets; row r
+    # of `columns` and of `pushes` holds every active agent's drawn
+    # find-min and coherence target of round r + 1.
     drawn_values, drawn_targets = (draw_agents(seed, params)
                                    if draws is None else draws)
     intentions: list = [
         tuple(zip(values, targets)) for values, targets in
         zip(drawn_values.tolist(), drawn_targets[:, :q].tolist())]
-    columns = drawn_targets[active, q:].T.tolist()
+    senders = np.array(active)
+    is_plain = np.array(plain)
+    pulls = drawn_targets[senders, q:2 * q]
+    columns = drawn_targets[senders, 2 * q:3 * q].T.tolist()
+    pushes = drawn_targets[senders, 3 * q:].T
 
     chosen: list = list(intentions)  # what each agent actually casts
 
@@ -274,10 +279,12 @@ def run_trial(config: SimConfig, *, record: bool = True,
         for b in members:
             view = views[b]
             pick = strategy.choose_intention(view, intentions[b])
-            if not valid_intention(pick, params):
-                raise StrategyError(f"member {b}: invalid intention {pick!r}")
-            chosen[b] = tuple((int(v), int(t)) for v, t in pick)
-            view.chosen_intention = chosen[b]
+            if pick is not intentions[b]:
+                if not valid_intention(pick, params):
+                    raise StrategyError(
+                        f"member {b}: invalid intention {pick!r}")
+                pick = tuple((int(v), int(t)) for v, t in pick)
+            view.chosen_intention = chosen[b] = pick
 
     widths = bit_widths(params)
     b_pull = widths.agent                           # the puller's id
@@ -287,6 +294,13 @@ def run_trial(config: SimConfig, *, record: bool = True,
     by_phase: list = []     # (phase, messages, bits), appended as each ends
 
     # --- commitment: q rounds of pulling vote declarations ---------------
+    # A plain agent pulls its drawn targets, and a plain target answers
+    # every pull with its intention. So a plain agent's ledger files only
+    # its member and faulty targets' answers; its plain entries are the
+    # plain agents in its row of `pulls`. A member's ledger files every
+    # answer. The loop visits, in (round, id) order, only the pulls a
+    # member makes or a non-plain agent gets; `pulled` ends with every
+    # pull's target, 0 for a skipped one.
     declared: list = [None] * (n + 1)     # each active agent's ledger
     for u in active:
         declared[u] = {}
@@ -299,78 +313,80 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # one keeps its id from being reused within the trial.
     kept: dict[int, tuple] = {id(chosen[b]): chosen[b] for b in members}
 
-    n_msgs = 0
-    n_bits = 0
-    pairs = 0       # pulls of a plain agent by another: a request and a reply
-    for rnd, col in enumerate(columns[:q], 1):
-        for u, t in zip(active, col):
-            if not plain[u]:
-                t = strategy.choose_commit_target(views[u], rnd, t)
-                if t is None:
-                    continue
-                _check_target(u, t, n)
-                if t != u:
-                    coalition_pulled.add(t)
+    pulled = pulls.T.copy()               # (round, row)
+    answered: list = []     # (round, row) of each pull a member answered
+    cells = np.nonzero(~(is_plain[pulled] & is_plain[senders]))
+    for r, i, t in zip(*(a.tolist() for a in (*cells, pulled[cells]))):
+        u, rnd = active[i], r + 1
+        if not plain[u]:
+            t = strategy.choose_commit_target(views[u], rnd, t)
+            if t is None:
+                pulled[r, i] = 0
+                continue
+            _check_target(u, t, n)
+            pulled[r, i] = t
+            if t != u:
+                coalition_pulled.add(t)
             if plain[t]:
                 # honest declarations are engine-built and already canonical
                 declared[u][t] = intentions[t]
-                if t != u:
-                    pairs += 1
-                    if messages is not None:
-                        messages.append((PHASE_COMMITMENT, rnd, u, t,
-                                         "pull_request", b_pull))
-                        messages.append((PHASE_COMMITMENT, rnd, t, u,
-                                         "intention_reply", b_reply))
                 continue
-            if t != u:
-                n_msgs += 1
-                n_bits += b_pull
-                if messages is not None:
-                    messages.append((PHASE_COMMITMENT, rnd, u, t,
-                                     "pull_request", b_pull))
-            if t in faulty:
-                declared[u][t] = None
-                continue
-            reply = strategy.reply_to_pull(views[t], u, rnd, chosen[t])
-            if kept.get(id(reply)) is reply:
-                # canonical already; a None reply (no id in kept) files the
-                # no-reply mark, as record_commitment would
-                declared[u][t] = filed = reply
-            else:
-                filed = record_commitment(declared[u], t, reply, params)
-                if filed is not None and type(reply) is tuple and all(
-                        type(pair) is tuple for pair in reply):
-                    # tuples all the way down to the checked ints, so the
-                    # same object is the same declaration
-                    kept[id(reply)] = reply
-            if t not in first_declarations and plain[u]:
-                # the first declaration an honest agent pins down
-                first_declarations[t] = filed
-            if reply is not None and t != u:
-                n_msgs += 1
-                n_bits += b_reply
-                if messages is not None:
-                    messages.append((PHASE_COMMITMENT, rnd, t, u,
-                                     "intention_reply", b_reply))
-    by_phase.append((PHASE_COMMITMENT, n_msgs + 2 * pairs,
-                     n_bits + pairs * (b_pull + b_reply)))
+        if t in faulty:
+            declared[u][t] = None
+            continue
+        reply = strategy.reply_to_pull(views[t], u, rnd, chosen[t])
+        if kept.get(id(reply)) is reply:
+            # canonical already; a None reply (no id in kept) files the
+            # no-reply mark, as record_commitment would
+            declared[u][t] = filed = reply
+        else:
+            filed = record_commitment(declared[u], t, reply, params)
+            if filed is not None and type(reply) is tuple and all(
+                    type(pair) is tuple for pair in reply):
+                # tuples all the way down to the checked ints, so the
+                # same object is the same declaration
+                kept[id(reply)] = reply
+        if t not in first_declarations and plain[u]:
+            # the first declaration an honest agent pins down
+            first_declarations[t] = filed
+        if reply is not None:
+            answered.append((r, i))
+    sent = (pulled != senders) & (pulled > 0)     # a self-pull sends nothing
+    replied = is_plain[pulled]
+    if answered:
+        replied[tuple(zip(*answered))] = True
+    replied &= sent
+    n_pulls, n_replies = int(sent.sum()), int(replied.sum())
+    by_phase.append((PHASE_COMMITMENT, n_pulls + n_replies,
+                     n_pulls * b_pull + n_replies * b_reply))
+    if messages is not None:
+        # (round, puller) order, each reply right after its request
+        r, i = np.nonzero(sent)
+        for rnd, u, t, answer in zip((r + 1).tolist(), senders[i].tolist(),
+                                     pulled[sent].tolist(),
+                                     replied[sent].tolist()):
+            messages.append((PHASE_COMMITMENT, rnd, u, t, "pull_request",
+                             b_pull))
+            if answer:
+                messages.append((PHASE_COMMITMENT, rnd, t, u,
+                                 "intention_reply", b_reply))
 
     # --- voting: q rounds of pushing vote values --------------------------
     # Row i holds the q votes active[i] pushes, in round order: an honest
     # agent's as drawn, a member's as its hook returns them, in (round, id)
     # order. A withheld vote has target 0, whose tally is never read, nor
     # is a faulty receiver's.
-    senders = np.array(active)
     cast_values = drawn_values[senders]
     cast_targets = drawn_targets[senders, :q]
     rows = {b: active.index(b) for b in sorted(members)}
     for rnd in range(1, q + 1):
         for b, i in rows.items():
-            vote = strategy.choose_vote(views[b], rnd, chosen[b][rnd - 1])
+            default = chosen[b][rnd - 1]
+            vote = strategy.choose_vote(views[b], rnd, default)
             if vote is None:
                 cast_targets[i, rnd - 1] = 0
                 continue
-            if not valid_vote(vote, params):
+            if vote is not default and not valid_vote(vote, params):
                 raise StrategyError(f"member {b}: bad vote {vote!r}")
             cast_values[i, rnd - 1], cast_targets[i, rnd - 1] = vote
     pushed = ((cast_targets != senders[:, None]) & (cast_targets > 0)).sum()
@@ -421,7 +437,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     n_bits = 0
     pairs = 0           # pulls of a plain agent by another
     pair_bits = 0       # the certificate replies' bits of those pulls
-    for rnd, col in enumerate(columns[q:2 * q], 1):
+    for rnd, col in enumerate(columns, 1):
         for u, t in zip(active, col):
             if not plain[u]:
                 t = strategy.choose_findmin_target(views[u], rnd, t)
@@ -482,51 +498,74 @@ def run_trial(config: SimConfig, *, record: bool = True,
                      n_bits + pairs * b_pull + pair_bits))
 
     # --- coherence: q rounds of pushing; a conflicting certificate is fatal
+    # `label` holds each agent's certificate as a number, equal ones
+    # sharing it (see _Certificates.label), and 0 for a faulty agent. A
+    # plain agent pushes its own certificate every round until it fails,
+    # so only its pushes to a live agent with another label can fail
+    # anyone; those and the member hooks go round by round.
+    certs.ids = {ce_min[u] for u in active if type(ce_min[u]) is int}
+    label = [0] * (n + 1)
+    for u in active:
+        label[u] = certs.label(ce_min[u])
+    labels = np.array(label)
+    received = labels[pushes]
+    cells = np.nonzero(is_plain[senders] & (received > 0)
+                       & (received != labels[senders]))
+    # the clashing pushes of round r + 1 are items ends[r]:ends[r + 1]
+    ends = [0, *np.searchsorted(cells[0], np.arange(1, q + 1)).tolist()]
+    clash_rows, clash_targets = cells[1].tolist(), pushes[cells].tolist()
+    sent = pushes != senders                # a self-push sends nothing
+    cell_bits = np.repeat(np.array(ce_bits)[senders][None], q, axis=0)
+    hooked = [(b, i, pushes[:, i].tolist()) for b, i in rows.items()]
     failures: dict[int, int] = {}
-    same = certs.same
-    n_msgs = 0
-    n_bits = 0
-    for rnd, col in enumerate(columns[2 * q:], 1):
-        inbox: list = []
-        for u, target in zip(active, col):
-            if not plain[u]:
-                default = None if u in failures else ce_min[u]
-                cert = strategy.coherence_push(views[u], rnd, target, default)
-                if cert is None:
-                    continue
-                if cert is ce_min[u]:
-                    bits = ce_bits[u]
-                else:
-                    _check_cert(u, cert, params)
-                    bits = certificate_bits(cert, widths)
-            else:
-                if u in failures:
-                    continue  # failed agents go quiet
-                cert = ce_min[u]
-                bits = ce_bits[u]
-            if target != u:
-                n_msgs += 1
-                n_bits += bits
-                if messages is not None:
-                    messages.append((PHASE_COHERENCE, rnd, u, target,
-                                     "cert_push", bits))
-            inbox.append((target, cert))
-        # deliveries land after every send of the round
-        for target, cert in inbox:
-            if target in faulty or target in failures:
+    for r in range(q):
+        span = slice(ends[r], ends[r + 1])
+        # failed agents go quiet, and a failed receiver stays failed
+        inbox = [(i, target) for i, target in zip(clash_rows[span],
+                                                  clash_targets[span])
+                 if active[i] not in failures and target not in failures]
+        for b, i, targets in hooked:
+            target = targets[r]
+            default = None if b in failures else ce_min[b]
+            cert = strategy.coherence_push(views[b], r + 1, target, default)
+            if cert is None:
+                sent[r, i] = False
                 continue
-            mine = ce_min[target]
-            if cert is not mine and not same(cert, mine):
-                failures[target] = rnd
-    by_phase.append((PHASE_COHERENCE, n_msgs, n_bits))
+            if cert is ce_min[b]:
+                held = label[b]
+            else:
+                _check_cert(b, cert, params)
+                cell_bits[r, i] = certificate_bits(cert, widths)
+                held = certs.label(cert)
+            if 0 < label[target] != held:
+                inbox.append((i, target))
+        # deliveries land after every send of the round, in sender order
+        for _, target in sorted(inbox):
+            failures.setdefault(target, r + 1)
+    if failures:
+        # a plain agent sends nothing after the round it failed in
+        quiet = np.full(n + 1, q)
+        quiet[list(failures)] = list(failures.values())
+        quiet[list(members)] = q
+        sent &= np.arange(q)[:, None] < quiet[senders]
+    by_phase.append((PHASE_COHERENCE, int(sent.sum()),
+                     int(cell_bits[sent].sum())))
+    if messages is not None:
+        r, i = np.nonzero(sent)
+        messages.extend(
+            (PHASE_COHERENCE, rnd, u, target, "cert_push", bits)
+            for rnd, u, target, bits in zip(
+                (r + 1).tolist(), senders[i].tolist(),
+                pushes[sent].tolist(), cell_bits[sent].tolist()))
 
     # --- verification: accept the winner or abort -------------------------
     # Every agent, member or not, audits each distinct certificate once
-    # (see _audit) and checks the audit against its own ledger.
+    # (see _audit) and checks the audit against its own ledger, a plain
+    # agent's pulls standing in for its plain entries.
     cert_min = {u: certs.get(ce_min[u]) for u in active}
     decisions: dict[int, Optional[int]] = {}
     audits: dict[int, Optional[tuple]] = {}
-    for u in active:
+    for u, row in zip(active, pulls.tolist()):
         if u in failures:
             default = None
         else:
@@ -534,7 +573,8 @@ def run_trial(config: SimConfig, *, record: bool = True,
             key = id(cert)      # cert_min holds every cert for the whole loop
             if key not in audits:
                 audits[key] = _audit(cert, m, intentions, plain, member_set)
-            default = (None if _rejection(audits[key], declared[u])
+            default = (None if _rejection(audits[key], declared[u],
+                                          row if plain[u] else ())
                        else cert.color)
         if not plain[u]:
             pick = strategy.final_decision(views[u], default)
@@ -547,9 +587,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
 
     # nothing replaces a certificate after find-min, so this is both
     # find-min's convergence and the agreement coherence ends in
-    head = ce_min[honest[0]]
-    converged = all(ce_min[u] is head or same(ce_min[u], head)
-                    for u in honest)
+    converged = bool((labels[honest] == labels[honest[0]]).all())
     failed = any(u in failures for u in honest)
     winner = cert_min[honest[0]].owner if converged and not failed else None
 
@@ -585,8 +623,8 @@ def run_trial(config: SimConfig, *, record: bool = True,
         tickets=tickets,
         tally_sizes=tally_sizes,
         cert_min=cert_min,
-        faulty_marks={u: tuple(sorted(v for v, d in declared[u].items()
-                                      if d is None))
+        faulty_marks={u: tuple(sorted([v for v, d in declared[u].items()
+                                       if d is None])) if declared[u] else ()
                       for u in active},
         coalition_pulled=frozenset(coalition_pulled),
         failures=failures,
@@ -641,10 +679,13 @@ def _audit(cert: Certificate, modulus: int, intentions: list,
     return owner, checks
 
 
-def _rejection(audit: Optional[tuple], declarations: dict) -> Optional[str]:
+def _rejection(audit: Optional[tuple], declarations: dict,
+               pulled) -> Optional[str]:
     """The reason ``verify_certificate`` gives for rejecting the audited
-    certificate against a verifier's ledger ``declarations``, or None if
-    it accepts: the first failing check whose sender it pulled."""
+    certificate against a verifier's ledger, or None if it accepts: the
+    first failing check whose sender it pulled. The ledger is
+    ``declarations`` plus, for each plain agent in ``pulled`` that it
+    leaves out, that agent's intention."""
     if audit is None:
         return BAD_CHECKSUM
     owner, checks = audit
@@ -653,6 +694,8 @@ def _rejection(audit: Optional[tuple], declarations: dict) -> Optional[str]:
             flaw = flaw or vote_flaw(declarations[sender], value, rnd, owner)
             if flaw:
                 return flaw
+        elif flaw and sender in pulled:
+            return flaw
     return None
 
 
@@ -682,7 +725,7 @@ class _Certificates:
     reader that same object."""
 
     __slots__ = ("senders", "values", "targets", "colors", "modulus",
-                 "built")
+                 "built", "ids", "others", "seen")
 
     def __init__(self, senders: np.ndarray, values: np.ndarray,
                  targets: np.ndarray, colors: tuple, modulus: int):
@@ -690,6 +733,9 @@ class _Certificates:
         self.senders, self.values, self.targets = senders, values, targets
         self.colors, self.modulus = colors, modulus
         self.built: dict[int, Certificate] = {}
+        self.ids: set = set()     # the owner ids ``label`` compares with
+        self.others: dict[Certificate, int] = {}
+        self.seen: dict[int, tuple] = {}      # id -> (certificate, label)
 
     def get(self, held) -> Certificate:
         """The certificate ``held`` stands for: itself, or its owner's."""
@@ -704,22 +750,25 @@ class _Certificates:
                 self.colors[held - 1], held, self.modulus)
         return cert
 
-    def same(self, a, b) -> bool:
-        """Whether held certificates ``a`` and ``b`` are equal. Two ids are
-        equal only if they are one owner's, and a certificate of another
-        owner differs from an id without being built."""
-        if a is b:
-            return True
-        if type(a) is int:
-            if type(b) is int:
-                return a == b
-            a, b = b, a
-        elif type(b) is not int:
-            return a == b
-        if a.owner != b:
-            return False
-        cert = self.get(b)
-        return a is cert or a == cert
+    def label(self, held) -> int:
+        """A number for held certificate ``held`` that two held
+        certificates share iff they are equal. An owner id is its own
+        number, as is a certificate equal to the one built for an id in
+        ``ids``; any other certificate takes a number past every agent id.
+        Only an id in ``ids`` is built."""
+        if type(held) is int:
+            return held
+        hit = self.seen.get(id(held))
+        if hit is None:
+            owner = held.owner
+            if owner in self.ids and held == self.get(owner):
+                number = owner
+            else:
+                number = self.others.setdefault(
+                    held, len(self.colors) + 1 + len(self.others))
+            # holding the certificate keeps its id from being reused
+            hit = self.seen[id(held)] = held, number
+        return hit[1]
 
 
 def _classify(config, active, sizes, pulls, votes, tickets, converged,

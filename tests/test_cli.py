@@ -156,6 +156,21 @@ def test_fairness_fail_exit_code(tmp_path):
                  "--out", str(tmp_path / "f.jsonl")]) == 1
 
 
+@pytest.mark.parametrize("coalition", [[], ["--coalition", "1,5"]],
+                         ids=["plain", "coalition"])
+def test_fairness_ignores_the_calibration(tmp_path, capsys, coalition):
+    # fairness counts outcomes and winners and reads no flag, so even a
+    # band no tally can reach leaves its bytes as they are
+    argv = ["fairness", "--n", "16", "--gamma", "2", "--trials", "40",
+            *coalition]
+    outputs = []
+    for band in ([], ["--beta1", "50", "--beta2", "99"]):
+        out = tmp_path / f"f{len(outputs)}.jsonl"
+        code = main(argv + band + ["--out", str(out)])
+        outputs.append((code, capsys.readouterr(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 

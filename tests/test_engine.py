@@ -702,9 +702,11 @@ class _Copies(DeviationStrategy):
 
 @pytest.fixture
 def wire_checks(monkeypatch):
-    """Counts run_trial's calls of its member certificate and reply checks."""
+    """Counts run_trial's calls of its member certificate, reply,
+    intention and vote checks."""
     calls = Counter()
-    for name in ("certificate_flaw", "record_commitment"):
+    for name in ("certificate_flaw", "record_commitment", "valid_intention",
+                 "valid_vote"):
         def counted(*args, _check=getattr(engine, name), _name=name):
             calls[_name] += 1
             return _check(*args)
@@ -715,9 +717,10 @@ def wire_checks(monkeypatch):
 def test_default_hook_results_are_not_rechecked(wire_checks):
     config = SimConfig(n=64, gamma=4.0, colors=HALF64,
                        coalition=CoalitionConfig(members=(1, 2, 33, 34)))
-    # an honest member declares the certificate the engine built over its
-    # tally and serves it as its default, and its pull answers are its
-    # chosen intention: nothing it sends is checked
+    # an honest member casts the intention and votes the engine drew for
+    # it, declares the certificate the engine built over its tally and
+    # serves it as its default, and its pull answers are its chosen
+    # intention: nothing it sends is checked
     for seed in range(3):
         run_trial(replace(config, master_seed=seed), record=False)
     assert wire_checks == {}
@@ -803,6 +806,8 @@ def test_copied_defaults_are_checked_and_change_nothing(wire_checks, faulty):
         trace = run_trial(replace(copies, master_seed=seed))
         assert wire_checks["certificate_flaw"] > 2
         assert wire_checks["record_commitment"] > 0
+        assert wire_checks["valid_intention"] == 2      # one per member
+        assert wire_checks["valid_vote"] > 2
         wire_checks.clear()
         trace.config = replace(honest, master_seed=seed)
         assert trace_json_line(trace) == expected
@@ -1053,7 +1058,12 @@ def test_certificate_audit_agrees_with_verify_certificate(case):
     audit = engine._audit(cert, params.modulus, intentions, plain, members)
     for ledger in ledgers:
         reason = verify_certificate(cert, ledger, params).reason
-        assert engine._rejection(audit, ledger) == reason
+        assert engine._rejection(audit, ledger, ()) == reason
+        # as run_trial holds a plain verifier's ledger: its plain entries
+        # as the agents it pulled, the rest as a dict
+        pulled = [s for s in ledger if plain[s]]
+        rest = {s: entry for s, entry in ledger.items() if not plain[s]}
+        assert engine._rejection(audit, rest, pulled) == reason
 
 
 @register

@@ -11,7 +11,9 @@ undetected splits included. The ``n64-*`` groups are the benchmark's
 attack configs (n=64, gamma 4, two colour halves, members 1, 2, 33 and
 34) under each of its four strategies, recorded and unrecorded, and
 ``n256`` is recorded coalition-free trials at the size of its trace
-workload.
+workload. The ``silenced-*`` groups, recorded and unrecorded, are trials
+at a gamma so low that coherence fails agents, under a silencing
+coalition and faults.
 
 ``CLI_DIGESTS`` holds one digest per command line of ``fairgossip``, over
 its exit code, stdout, stderr and the bytes it writes to ``--out``.
@@ -38,7 +40,9 @@ from fairgossip.engine import (
     run_trial,
     trace_json_line,
     trace_to_dict,
+    validate_config,
 )
+from fairgossip.protocol import draw_agents
 
 SIZES = (1, 2, 3, 5, 8, 17, 40, 64, 100)
 SEEDS = (0, 1, 7, 2**32 + 3, 2**64 + 5)
@@ -116,6 +120,22 @@ def _attack_lines(strategy, record):
                                         record=record))
 
 
+#: find-min rarely converges at this gamma, so coherence fails agents; the
+#: coalition silences its pushes to the victims, and every fifth agent
+#: from 3 on is faulty
+SILENCED = SimConfig(
+    n=24, gamma=0.8, colors=tuple(u % 2 + 1 for u in range(24)),
+    faulty=frozenset(range(3, 25, 5)),
+    coalition=CoalitionConfig(members=(1, 6), strategy="coherence_silence",
+                              options={"victims": [2, 4, 5, 7]}))
+SILENCED_GROUPS = {"silenced-n24": True, "silenced-n24-unrecorded": False}
+
+
+def _silenced_traces(record):
+    for seed in range(16):
+        yield run_trial(replace(SILENCED, master_seed=seed), record=record)
+
+
 def _n256_lines():
     config = SimConfig(n=256, gamma=4.0, colors=expand_colors(None, 256))
     for seed in range(3):
@@ -163,6 +183,10 @@ DIGESTS = {
         "3344a695b38feb1f0b2f809836c59d944f67770c9e8b0b3feeb7f9bf6aad34dc",
     "n64-coherence_silence-unrecorded":
         "8487ac523b67f6ec2bf41ecc10b434c834989ad3243424dbc4aa93ebf15363ac",
+    "silenced-n24":
+        "9393d27b3bbd0ca36ad4a848c7d53577150de4083f56166d897611f23dda3318",
+    "silenced-n24-unrecorded":
+        "904b8d879741ec95d1de509c49fd4f930c8f4375576684f9c13d99aed746824e",
     "n256":
         "2c09be14cfcf25826d3406821cd0ba962ea0a715046cd619200e1ad6f7d77e07",
 }
@@ -177,6 +201,9 @@ def group_lines(group):
         return _attack_lines(*ATTACK_GROUPS[group])
     if group == "n256":
         return _n256_lines()
+    if group in SILENCED_GROUPS:
+        return map(trace_json_line,
+                   _silenced_traces(SILENCED_GROUPS[group]))
     return _kernel_lines(KERNEL_CASES[group])
 
 
@@ -191,6 +218,25 @@ def digest(lines) -> str:
 @pytest.mark.parametrize("group", sorted(DIGESTS))
 def test_golden_digest(group):
     assert digest(group_lines(group)) == DIGESTS[group]
+
+
+def test_silenced_group_has_a_failed_agent_go_quiet():
+    # a failed agent pushes no more: at least one honest agent of the group
+    # fails, and a push it drew for a later round would have failed a live
+    # receiver that held another certificate and had not failed yet
+    q = validate_config(SILENCED).phase_rounds
+    quieted = 0
+    for trace in _silenced_traces(record=False):
+        _, targets = draw_agents(trace.config.master_seed, trace.params)
+        for u, failed in trace.failures.items():
+            if u in SILENCED.coalition.members:
+                continue
+            for rnd in range(failed + 1, q + 1):
+                v = int(targets[u, 3 * q + rnd - 1])
+                quieted += (v != u and v not in SILENCED.faulty
+                            and trace.failures.get(v, q + 1) > rnd
+                            and trace.cert_min[v] != trace.cert_min[u])
+    assert quieted > 0
 
 
 @pytest.mark.parametrize("group", ["plain", *STRATEGIES])

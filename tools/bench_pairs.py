@@ -35,8 +35,9 @@ Optional sections, each also run in both trees:
                    takes about three times as long as the first);
   --kernel         40 alternating rounds of in-process timings of
                    protocol.draw_batch, engine.run_honest_trials,
-                   analysis.iter_trials under each attack-n64 strategy
-                   and a recorded engine.run_trial at n=256;
+                   analysis.iter_trials under each attack-n64 strategy,
+                   without a coalition and with eight faulty agents, and
+                   a recorded engine.run_trial at n=256;
   --tier1          the tier-1 tests, in the order change, parent, parent,
                    change.
 Nothing under perfbench/ is changed; its files are only run or imported.
@@ -245,6 +246,15 @@ for strategy in ("k_underbid", "commitment_mismatch", "fake_faulty",
         members=(1, 2, 33, 34), strategy=strategy))
     cases[f"iter_trials_{strategy}_4_n64"] = (
         lambda s, attack=attack: list(iter_trials(attack, range(s, s + 4))))
+# the attack baseline arm's path: no coalition
+cases["iter_trials_honest_4_n64"] = (
+    lambda s: list(iter_trials(cfg, range(s, s + 4))))
+# pulls of faulty agents, which every puller files as a mark
+faulty = replace(cfg, faulty=frozenset(range(5, 65, 8)),
+                 coalition=CoalitionConfig(members=(1, 2, 33, 34),
+                                           strategy="k_underbid"))
+cases["iter_trials_k_underbid_faulty_4_n64"] = (
+    lambda s: list(iter_trials(faulty, range(s, s + 4))))
 cases["run_trial_recorded_n256"] = (
     lambda s: run_trial(replace(cfg256, master_seed=s)))
 out = {}
