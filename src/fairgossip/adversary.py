@@ -20,14 +20,17 @@ is frozen; anything else is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from fairgossip.protocol import (
+    STRATEGY_STREAM_TAG,
     Certificate,
     ConfigError,
     Params,
+    derive_stream,
     vote_sum,
 )
 
@@ -55,16 +58,20 @@ class MemberView:
     ce_min: Optional[Certificate] = None
 
 
-@dataclass(slots=True)
+@dataclass
 class AdversaryContext:
     """Shared coalition state: parameters, the member list, strategy options
-    and a dedicated random stream (independent of every agent stream)."""
+    and a random stream of its own, derived from the seed on first read."""
 
     params: Params
     members: tuple[int, ...]
     options: Mapping[str, Any]
-    rng: np.random.Generator
+    seed: int
     views: dict[int, MemberView] = field(default_factory=dict)
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return derive_stream(self.seed, STRATEGY_STREAM_TAG)
 
 
 class DeviationStrategy:

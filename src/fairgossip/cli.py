@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import cache, partial
+from itertools import islice
 from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional,
                     TextIO)
 
@@ -151,11 +152,10 @@ def _emit(args: argparse.Namespace, rows: list[dict],
                 fh.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
-# A `run` row as `json.dumps(dict(zip(LOG_FIELDS, row)), sort_keys=True)`
-# writes it: keys sorted, receiver None as null. Kinds are plain
-# identifiers, so quoting them needs no escapes.
-_RUN_JSONL_ROW = ('{"kind": "%s", "payload_bits": %d, "receiver": %s, '
-                  '"round": %d, "sender": %d}\n')
+# `run` writes its JSONL log this many rows at a time, each row as
+# `json.dumps(dict(zip(LOG_FIELDS, row)), sort_keys=True)` writes it. Kinds
+# are plain identifiers, so quoting them needs no escapes.
+_RUN_BATCH = 1024
 
 
 def _log_rows(records: Iterable, summary: dict) -> Iterator[tuple]:
@@ -228,20 +228,21 @@ def _fold(experiment: Callable, workers: int, sim: SimConfig,
 def _cmd_run(args: argparse.Namespace) -> int:
     _require_serial(args)
     sim, exp = _resolve(args)
-    trace = run_trial(sim)
     summary: dict = {}
-    rows = _log_rows(trace_log_records(trace), summary)
+    rows = _log_rows(trace_log_records(run_trial(sim)), summary)
     with _output(args) as fh:
         if args.format == "csv":
             writer = csv.writer(fh)
             writer.writerow(LOG_FIELDS)
             writer.writerows(rows)
         else:
-            fh.writelines(
-                _RUN_JSONL_ROW % (kind, bits,
-                                  "null" if receiver is None else receiver,
-                                  rnd, sender)
-                for rnd, kind, sender, receiver, bits in rows)
+            while batch := "".join([
+                    f'{{"kind": "{kind}", "payload_bits": {bits}, '
+                    f'"receiver": {"null" if receiver is None else receiver}, '
+                    f'"round": {rnd}, "sender": {sender}}}\n'
+                    for rnd, kind, sender, receiver, bits
+                    in islice(rows, _RUN_BATCH)]):
+                fh.write(batch)
             fh.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 

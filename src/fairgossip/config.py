@@ -23,7 +23,6 @@ from .engine import (
 from .protocol import (
     FAULT_STREAM_TAG,
     MAX_AGENTS,
-    STRATEGY_STREAM_TAG,
     ConfigError,
     derive_stream,
 )
@@ -245,6 +244,5 @@ def parse_config(doc: Optional[Mapping] = None,
         # a strategy checks its options when built: fail before any trial
         make_strategy(sim.coalition.strategy, AdversaryContext(
             params=params, members=sim.coalition.members,
-            options=dict(sim.coalition.options),
-            rng=derive_stream(exp.seed, STRATEGY_STREAM_TAG)))
+            options=dict(sim.coalition.options), seed=exp.seed))
     return sim, exp

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Optional
@@ -28,13 +28,12 @@ from fairgossip.adversary import (
 )
 from fairgossip.protocol import (
     BAD_CHECKSUM,
-    STRATEGY_STREAM_TAG,
     Certificate,
     ConfigError,
     Params,
     certificate_flaw,
     derive_params,
-    derive_stream,
+    derive_stream,  # not called; perfbench/worker.py wraps it here
     draw_agents,
     draw_batch,
     make_certificate,
@@ -270,8 +269,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     if members:
         ctx = AdversaryContext(
             params=params, members=members,
-            options=dict(coalition.options),
-            rng=derive_stream(seed, STRATEGY_STREAM_TAG))
+            options=dict(coalition.options), seed=seed)
         strategy = make_strategy(coalition.strategy, ctx)
         views = ctx.views
         for b in members:
@@ -864,7 +862,7 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int]):
         sizes = sizes.reshape(-1, n + 1)
         pulls = np.bincount((targets[:, :, q:2 * q] + offsets).ravel(),
                             minlength=size).reshape(-1, n + 1)
-        findmin_rows = targets[:, :, 2 * q:3 * q].transpose(0, 2, 1).tolist()
+        findmin_rows = targets[:, :, 2 * q:3 * q].transpose(0, 2, 1)
 
         results = []
         for i, held in enumerate(tallies):
@@ -882,7 +880,7 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int]):
             for row in findmin_rows[i]:
                 if not left:
                     break
-                for u, t in zip(active, row):
+                for u, t in zip(active, row.tolist()):
                     if held[t] < held[u]:
                         held[u] = k = held[t]
                         owner[u] = owner[t]
@@ -918,10 +916,6 @@ def _honest_trials(config: SimConfig, params: Params, seeds: Iterator[int]):
 
 
 # --- trace serialization --------------------------------------------------
-
-def _flags_dict(flags: GoodExecutionFlags) -> dict[str, bool]:
-    return {f.name: getattr(flags, f.name) for f in fields(flags)}
-
 
 def _cert_to_list(cert: Certificate) -> list:
     return [cert.ticket, [list(v) for v in cert.votes], cert.color,
@@ -967,7 +961,7 @@ def trace_to_dict(trace: Trace) -> dict:
         "decisions": {str(u): d for u, d in trace.decisions.items()},
         "winner": trace.winner,
         "outcome": trace.outcome,
-        "flags": _flags_dict(trace.flags),
+        "flags": asdict(trace.flags),
         "stats": {
             "messages": trace.stats.messages,
             "bits": trace.stats.bits,
@@ -1014,4 +1008,4 @@ def trace_log_records(trace: Trace):
     yield {"outcome": trace.outcome, "winner": trace.winner,
            "rounds": trace.stats.rounds,
            "max_message_bits": max((m[5] for m in messages), default=0),
-           "flags": _flags_dict(trace.flags)}
+           "flags": asdict(trace.flags)}

@@ -104,12 +104,33 @@ def test_commitment_mismatch_unchanged_or_abort():
 def _mismatch_ctx(**options):
     params = derive_params(16, 2.0)
     ctx = AdversaryContext(params=params, members=(5,), options=options,
-                           rng=derive_stream(0, STRATEGY_STREAM_TAG))
+                           seed=0)
     q = params.phase_rounds
     view = MemberView(id=5, color=1)
     view.chosen_intention = tuple((100 + j, (j % 16) + 1)
                                   for j in range(1, q + 1))
     return CommitmentMismatch(ctx), view, params
+
+
+def test_strategy_stream_is_derived_once_on_first_read(monkeypatch):
+    import fairgossip.adversary as adversary
+
+    labels = []
+
+    def counting(seed, label):
+        labels.append(label)
+        return derive_stream(seed, label)
+
+    monkeypatch.setattr(adversary, "derive_stream", counting)
+    run16(3, CoalitionConfig(members=(2, 9), strategy="k_underbid"))
+    assert labels == []                         # k_underbid never reads it
+    strat = _mismatch_ctx()[0]
+    assert labels == []
+    rng = strat.ctx.rng
+    assert strat.ctx.rng is rng and labels == [STRATEGY_STREAM_TAG]
+    assert (rng.integers(1 << 30, size=4).tolist()
+            == derive_stream(0, STRATEGY_STREAM_TAG).integers(
+                1 << 30, size=4).tolist())
 
 
 def test_mismatch_fake_is_cached_and_valid():

@@ -2,6 +2,8 @@
 on made-up runs and trees."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,3 +204,13 @@ def run_op(w, fg, k, base, out):
     assert doc["equal_ops"] == 4
     assert doc["differing_ops"] == [3]
     assert doc["parent"]["digest"] != doc["change"]["digest"]
+
+
+def test_kernel_script_times_every_case_once():
+    repo = _PATH.parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    times = bench_pairs.run_json([sys.executable, "-c",
+                                  bench_pairs.KERNEL_SCRIPT, "7", "1"],
+                                 repo, env)
+    assert "run_jsonl_n256" in times and "run_trial_recorded_n256" in times
+    assert all(ms > 0 for ms in times.values()), times

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairgossip import cli
 from fairgossip.adversary import STRATEGIES
 from fairgossip.cli import main
 from fairgossip.engine import CoalitionConfig, SimConfig, run_trial
@@ -95,6 +96,15 @@ RUN_CASES = {
                             coalition=CoalitionConfig(
                                 members=(1, 2), strategy="k_underbid"),
                             master_seed=0)),
+    # a golden command line: failures, a silencing member, decisions
+    "silenced": (["--n", "16", "--gamma", "1.5", "--faulty", "2,5",
+                  "--coalition", "3", "--strategy", "coherence_silence",
+                  "--seed", "4"],
+                 SimConfig(n=16, gamma=1.5, colors=(1, 2) * 8,
+                           faulty=frozenset({2, 5}),
+                           coalition=CoalitionConfig(
+                               members=(3,), strategy="coherence_silence"),
+                           master_seed=4)),
 }
 
 
@@ -115,6 +125,19 @@ def test_run_jsonl_matches_json_dumps(tmp_path, capsys, case, dest):
     expected = "".join(json.dumps(rec, sort_keys=True) + "\n"
                        for rec in records + [summary])
     assert run_output(tmp_path, capsys, argv, dest) == expected
+
+
+@pytest.mark.parametrize("batch", [1, 2, "rows"])
+def test_run_jsonl_is_the_same_at_any_batch_size(tmp_path, capsys,
+                                                 monkeypatch, batch):
+    argv, config = RUN_CASES["silenced"]
+    records, summary = expected_log(run_trial(config))
+    expected = "".join(json.dumps(rec, sort_keys=True) + "\n"
+                       for rec in records + [summary])
+    default = run_output(tmp_path, capsys, argv, "out")
+    monkeypatch.setattr(cli, "_RUN_BATCH",
+                        len(records) if batch == "rows" else batch)
+    assert run_output(tmp_path, capsys, argv, "out") == default == expected
 
 
 def test_run_coalition_case_has_failure_rows():

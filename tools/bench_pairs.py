@@ -36,8 +36,9 @@ Optional sections, each also run in both trees:
   --kernel         40 alternating rounds of in-process timings of
                    protocol.draw_batch, engine.run_honest_trials,
                    analysis.iter_trials under each attack-n64 strategy,
-                   without a coalition and with eight faulty agents, and
-                   a recorded engine.run_trial at n=256;
+                   without a coalition and with eight faulty agents, a
+                   recorded engine.run_trial at n=256 and trace-n256's op,
+                   cli.main's `run --n 256` with its JSONL export;
   --tier1          the tier-1 tests, in the order change, parent, parent,
                    change.
 Nothing under perfbench/ is changed; its files are only run or imported.
@@ -221,9 +222,10 @@ print(json.dumps({"ops": [r.sha256 for r in results], "minflt": minflt,
 KERNEL_CALLS = 30
 KERNEL_ROUNDS = 40
 KERNEL_SCRIPT = """
-import json, sys, time
+import json, os, sys, tempfile, time
 from dataclasses import replace
 from fairgossip.analysis import iter_trials
+from fairgossip.cli import main
 from fairgossip.engine import (CoalitionConfig, SimConfig, run_honest_trials,
                                run_trial)
 from fairgossip.protocol import derive_params, draw_agents, draw_batch
@@ -257,15 +259,23 @@ cases["iter_trials_k_underbid_faulty_4_n64"] = (
     lambda s: list(iter_trials(faulty, range(s, s + 4))))
 cases["run_trial_recorded_n256"] = (
     lambda s: run_trial(replace(cfg256, master_seed=s)))
+tmp = tempfile.TemporaryDirectory()
+# trace-n256's op: the recorded trial and its JSONL export
+def run_jsonl(s):
+    if main(["run", "--n", "256", "--seed", str(s),
+             "--out", os.path.join(tmp.name, "run.jsonl")]):
+        raise SystemExit(f"run --n 256 --seed {s} failed")
+cases["run_jsonl_n256"] = run_jsonl
 out = {}
-for name, case in cases.items():
-    case(base)
-    times = []
-    for k in range(calls):
-        t0 = time.perf_counter()
-        case(base + 16 * k)
-        times.append(time.perf_counter() - t0)
-    out[name] = sorted(times)[len(times) // 2] * 1e3
+with tmp:
+    for name, case in cases.items():
+        case(base)
+        times = []
+        for k in range(calls):
+            t0 = time.perf_counter()
+            case(base + 16 * k)
+            times.append(time.perf_counter() - t0)
+        out[name] = sorted(times)[len(times) // 2] * 1e3
 print(json.dumps(out))
 """
 
