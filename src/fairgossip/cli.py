@@ -16,10 +16,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import cache, partial
 from itertools import islice
-from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional,
-                    TextIO)
+from typing import Any, Callable, Iterator, Mapping, Optional, TextIO
 
 import yaml
 
@@ -158,16 +158,6 @@ def _emit(args: argparse.Namespace, rows: list[dict],
 _RUN_BATCH = 1024
 
 
-def _log_rows(records: Iterable, summary: dict) -> Iterator[tuple]:
-    """The rows of a `trace_log_records` stream; its summary dict is
-    copied into `summary` once the rows are drained."""
-    for rec in records:
-        if type(rec) is dict:
-            summary.update(rec)
-        else:
-            yield rec
-
-
 def _config_echo(sim: SimConfig, exp: ExperimentConfig) -> dict:
     coalition = None
     if sim.coalition is not None:
@@ -228,8 +218,8 @@ def _fold(experiment: Callable, workers: int, sim: SimConfig,
 def _cmd_run(args: argparse.Namespace) -> int:
     _require_serial(args)
     sim, exp = _resolve(args)
-    summary: dict = {}
-    rows = _log_rows(trace_log_records(run_trial(sim)), summary)
+    trace = run_trial(sim)
+    rows = trace_log_records(trace)
     with _output(args) as fh:
         if args.format == "csv":
             writer = csv.writer(fh)
@@ -243,6 +233,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     for rnd, kind, sender, receiver, bits
                     in islice(rows, _RUN_BATCH)]):
                 fh.write(batch)
+            summary = {"outcome": trace.outcome, "winner": trace.winner,
+                       "rounds": trace.stats.rounds,
+                       "max_message_bits": max(
+                           (m[5] for m in trace.messages), default=0),
+                       "flags": asdict(trace.flags)}
             fh.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 

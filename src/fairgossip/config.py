@@ -128,6 +128,8 @@ def resolve_faulty(spec: Any, n: int, colors: tuple[int, ...],
         if set(spec) == {"color", "count"}:
             c = _coerce("faulty", spec["color"], int)
             k = _coerce("faulty", spec["count"], int)
+            if k < 0:
+                raise ConfigError(f"faulty: color count {k} out of range")
             picked = [u for u, color in enumerate(colors, 1) if color == c][:k]
             if len(picked) < k:
                 raise ConfigError(
@@ -149,7 +151,7 @@ def resolve_coalition(spec: Any) -> Optional[CoalitionConfig]:
         raise ConfigError("coalition.members: need a list of agent ids")
     members = tuple(_coerce("coalition.members", u, int) for u in members)
     strategy = spec.get("strategy", "honest")
-    if strategy not in STRATEGIES:
+    if type(strategy) is not str or strategy not in STRATEGIES:
         raise ConfigError(f"coalition.strategy: unknown strategy {strategy!r}")
     options = spec.get("options") or {}
     if not isinstance(options, Mapping):

@@ -430,11 +430,12 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # --- find-min: q rounds of pulling the smallest certificate ----------
     # Pulls within a round are serialized in agent order; a reply carries
     # the replier's current certificate, so a chain of pulls can forward
-    # the minimum several hops in one round.
-    n_msgs = 0
-    n_bits = 0
-    pairs = 0           # pulls of a plain agent by another
-    pair_bits = 0       # the certificate replies' bits of those pulls
+    # the minimum several hops in one round. A plain target answers with
+    # what it holds, a member through its hook, a faulty one not at all
+    # (held None); a self-pull sends nothing but is answered all the same.
+    sent = 0            # pulls sent
+    lone = 0            # sent pulls left unanswered
+    reply_bits = 0      # bits of the replies
     for rnd, col in enumerate(columns, 1):
         for u, t in zip(active, col):
             if not plain[u]:
@@ -442,58 +443,36 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 if t is None:
                     continue
                 _check_target(u, t, n)
-            if plain[t]:
-                if t != u:
-                    bits = ce_bits[t]
-                    pairs += 1
-                    pair_bits += bits
-                    if messages is not None:
-                        messages.append((PHASE_FIND_MIN, rnd, u, t,
-                                         "pull_request", b_pull))
-                        messages.append((PHASE_FIND_MIN, rnd, t, u,
-                                         "cert_reply", bits))
-                    # min_certificate: only a strictly smaller ticket wins
-                    if ce_ticket[t] < ce_ticket[u]:
-                        ce_min[u] = ce_min[t]
-                        ce_bits[u] = bits
-                        ce_ticket[u] = ce_ticket[t]
-                        if not plain[u]:
-                            ce_min[u] = certs.get(ce_min[t])
-                            views[u].ce_min = ce_min[u]
-                continue
+            held, bits, ticket = ce_min[t], ce_bits[t], ce_ticket[t]
+            if not plain[t]:
+                held = (None if t in faulty else
+                        strategy.findmin_reply(views[t], u, rnd, held))
+                if held is None:
+                    bits = 0
+                    if t != u:
+                        lone += 1
+                # every ce_min is an honest agent's certificate or passed
+                # _check_cert, and certificates are frozen
+                elif held is not ce_min[t]:
+                    _check_cert(t, held, params)
+                    bits = certificate_bits(held, widths)
+                    ticket = held.ticket
             if t != u:
-                n_msgs += 1
-                n_bits += b_pull
+                sent += 1
+                reply_bits += bits
                 if messages is not None:
                     messages.append((PHASE_FIND_MIN, rnd, u, t,
                                      "pull_request", b_pull))
-            if t in faulty:
-                continue  # no answer: keep the incumbent, no marking here
-            reply = strategy.findmin_reply(views[t], u, rnd, ce_min[t])
-            if reply is None:
-                continue
-            if reply is ce_min[t]:
-                # every ce_min is an honest agent's certificate or passed
-                # _check_cert, and certificates are frozen
-                bits = ce_bits[t]
-            else:
-                _check_cert(t, reply, params)
-                bits = certificate_bits(reply, widths)
-            if t != u:
-                n_msgs += 1
-                n_bits += bits
-                if messages is not None:
-                    messages.append((PHASE_FIND_MIN, rnd, t, u,
-                                     "cert_reply", bits))
+                    if held is not None:
+                        messages.append((PHASE_FIND_MIN, rnd, t, u,
+                                         "cert_reply", bits))
             # min_certificate: only a strictly smaller ticket wins
-            if reply.ticket < ce_ticket[u]:
-                ce_min[u] = reply
-                ce_bits[u] = bits
-                ce_ticket[u] = reply.ticket
+            if ticket < ce_ticket[u] and held is not None:
+                ce_min[u], ce_bits[u], ce_ticket[u] = held, bits, ticket
                 if not plain[u]:
-                    views[u].ce_min = reply
-    by_phase.append((PHASE_FIND_MIN, n_msgs + 2 * pairs,
-                     n_bits + pairs * b_pull + pair_bits))
+                    views[u].ce_min = ce_min[u] = certs.get(held)
+    by_phase.append((PHASE_FIND_MIN, 2 * sent - lone,
+                     sent * b_pull + reply_bits))
 
     # --- coherence: q rounds of pushing; a conflicting certificate is fatal
     # `label` holds each agent's certificate as a number, equal ones
@@ -982,17 +961,17 @@ def trace_json_line(trace: Trace) -> str:
                       separators=(",", ":"))
 
 
-# Field order of the non-summary rows `trace_log_records` yields.
+# Field order of the rows `trace_log_records` yields.
 LOG_FIELDS = ("round", "kind", "sender", "receiver", "payload_bits")
 
 
 def trace_log_records(trace: Trace):
     """Line-delimited export: one row per message and per agent state
     transition (entering the failed state, deciding), as a tuple in
-    `LOG_FIELDS` order, then one summary dict. Round numbers are global
-    (1..4q); the trace must have been run with message recording on for
-    the message rows to appear. Decision and failure rows have receiver
-    None and payload_bits 0.
+    `LOG_FIELDS` order. Round numbers are global (1..4q); the trace must
+    have been run with message recording on for the message rows to
+    appear. Decision and failure rows have receiver None and payload_bits
+    0.
     """
     q = trace.params.phase_rounds
     offset = {p: i * q for i, p in enumerate(PHASES)}
@@ -1005,7 +984,3 @@ def trace_log_records(trace: Trace):
     for u in sorted(trace.decisions):
         kind = "rejected" if trace.decisions[u] is None else "accepted"
         yield (trace.stats.rounds, kind, u, None, 0)
-    yield {"outcome": trace.outcome, "winner": trace.winner,
-           "rounds": trace.stats.rounds,
-           "max_message_bits": max((m[5] for m in messages), default=0),
-           "flags": asdict(trace.flags)}

@@ -81,7 +81,13 @@ def derive_params(n: int, gamma: float, chi: float = 1.0,
         raise ConfigError(f"chi must be non-negative and finite, got {chi!r}")
     if type(num_colors) is not int or num_colors < 1:
         raise ConfigError(f"num_colors must be a positive integer, got {num_colors!r}")
-    rounds = max(1, math.ceil(gamma * math.log(n)))
+    span = gamma * math.log(n)
+    # one seed's (n+1, 4q) int64 target rows must stay below 2**63 bytes,
+    # past which numpy cannot even describe the array
+    if not math.isfinite(span) or 32 * (n + 1) * math.ceil(span) >= 2 ** 63:
+        raise ConfigError(f"gamma {gamma!r} gives too many rounds to draw "
+                          f"at n={n}")
+    rounds = max(1, math.ceil(span))
     return Params(n=n, gamma=float(gamma), chi=float(chi),
                   num_colors=num_colors, modulus=n ** 3, phase_rounds=rounds)
 

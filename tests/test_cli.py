@@ -409,6 +409,14 @@ def test_write_failure_reports_path(tmp_path, capsys):
     ["run", "--n", "8", "--coalition", "1", "--option", "foo"],
     ["scaling", "--sizes", ""],     # no sizes, not the default ones
     ["fairness", "--n", "8", "--trials", "4", "--beta2", "-1"],
+    ["run", "--n", "8", "--faulty", "color:1:-1"],
+    ["run", "--n", "8", "--gamma", "1e308"],
+    ["run", "--n", "4", "--gamma", "1e20"],
+    ["run", "--n", "64", "--gamma", "1e17"],
+    ["attack", "--n", "8", "--gamma", "1e308", "--trials", "2",
+     "--coalition", "1"],
+    ["scaling", "--sizes", "8", "--gamma", "1e308", "--trials", "1"],
+    ["fairness", "--n", "4", "--gamma", "1e308", "--trials", "2"],
 ], ids=" ".join)
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
@@ -548,7 +556,7 @@ JUNK = {
     "--n": ["0", "-3", "x", "2.5", ""],
     "--trials": ["0", "-1", "x", "2.5"],
     "--sizes": ["0", "8,x", "", "-1"],
-    "--gamma": ["0", "-1", "inf", "nan", "x"],
+    "--gamma": ["0", "-1", "inf", "nan", "x", "1e308"],
     "--chi": ["-1", "nan", "x"],
     "--num-colors": ["0", "1", "x"],
     "--colors": ["3x3", "x", "", "0", "1,2"],

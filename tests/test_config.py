@@ -182,6 +182,15 @@ def test_calibration_from_document():
     {"n": 8, "sizes": []},
     {"n": 8, "calibration": {"beta1": 5, "beta2": 1}},   # an empty band
     {"n": 8, "calibration": {"beta2": -1}},
+    # a strategy is named by a string, never a list or a map
+    {"n": 8, "coalition": {"members": [1], "strategy": []}},
+    {"n": 8, "coalition": {"members": [1], "strategy": {}}},
+    # a negative colour count is out of range, not a slice from the end
+    {"n": 8, "faulty": "color:1:-1"},
+    {"n": 8, "faulty": {"color": 1, "count": -1}},
+    # more rounds than can be counted, or than one seed's draws can hold
+    {"n": 8, "gamma": 1e308},
+    {"n": 4, "gamma": 1e20},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):

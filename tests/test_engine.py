@@ -137,13 +137,24 @@ def test_bit_accounting_examples():
 
 
 def test_message_bits_match_logged_sizes():
-    t = run_trial(SimConfig(n=16, gamma=2.0, colors=HALF, master_seed=4))
-    assert t.stats.messages == len(t.messages)
-    assert t.stats.bits == sum(m[5] for m in t.messages)
-    by_phase = {p: (c, b) for p, c, b in t.stats.by_phase}
-    for phase in by_phase:
-        msgs = [m for m in t.messages if m[0] == phase]
-        assert by_phase[phase] == (len(msgs), sum(m[5] for m in msgs))
+    # members that skip pulls, stay silent, pull themselves and reply with
+    # certificates of their own, next to faulty targets that never answer
+    built_in = [name for name, cls in STRATEGIES.items()
+                if cls.__module__ == "fairgossip.adversary"]
+    for faulty in (frozenset(), frozenset({3, 7})):
+        for coalition in (None, *(CoalitionConfig(members=(1, 4),
+                                                  strategy=name)
+                                  for name in built_in)):
+            t = run_trial(SimConfig(n=16, gamma=2.0, colors=HALF,
+                                    faulty=faulty, coalition=coalition,
+                                    master_seed=4))
+            assert t.stats.messages == len(t.messages)
+            assert t.stats.bits == sum(m[5] for m in t.messages)
+            by_phase = {p: (c, b) for p, c, b in t.stats.by_phase}
+            for phase in by_phase:
+                msgs = [m for m in t.messages if m[0] == phase]
+                assert by_phase[phase] == (len(msgs),
+                                           sum(m[5] for m in msgs))
 
 
 def test_votes_log_reconstructs_tallies_and_tickets():
