@@ -19,7 +19,7 @@ is frozen; anything else is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Mapping, Optional
 
@@ -67,7 +67,6 @@ class AdversaryContext:
     members: tuple[int, ...]
     options: Mapping[str, Any]
     seed: int
-    views: dict[int, MemberView] = field(default_factory=dict)
 
     @cached_property
     def rng(self) -> np.random.Generator:

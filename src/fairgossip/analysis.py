@@ -23,7 +23,7 @@ from .engine import (
     run_trial,
     validate_config,
 )
-from .protocol import ConfigError, derive_params, payoff
+from .protocol import ConfigError, payoff
 
 
 def _coalition_of(config: SimConfig) -> frozenset[int]:
@@ -61,15 +61,6 @@ class LegitimateWinnerRecord:
     winner: Optional[int]
     e_c: bool
     e_c_prime: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "k_star": {str(u): k for u, k in sorted(self.k_star.items())},
-            "legitimate_winner": self.legitimate_winner,
-            "winner": self.winner,
-            "e_c": self.e_c,
-            "e_c_prime": self.e_c_prime,
-        }
 
 
 def legitimate_winner(trace: Trace) -> LegitimateWinnerRecord:
@@ -165,16 +156,6 @@ class FairnessReport:
             self.wins_by_color[c] += w
         for u, w in other.per_agent_wins.items():
             self.per_agent_wins[u] += w
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "fail_count": self.fail_count,
-            "fail_rate": self.fail_count / self.trials if self.trials else 0.0,
-            "per_color": self.per_color_rows(),
-            "per_agent_wins": {str(u): w for u, w in
-                               sorted(self.per_agent_wins.items())},
-        }
 
 
 def run_fairness_experiment(config: SimConfig, trials: int, seed0: int = 0,
@@ -285,9 +266,6 @@ class EquilibriumReport:
             return None
         return any(s.difference <= s.ci_half_width for s in self.per_member)
 
-    def member_rows(self) -> list[dict]:
-        return [s._asdict() for s in self.per_member]
-
     def to_dict(self) -> dict:
         return {
             "strategy": self.strategy,
@@ -299,7 +277,7 @@ class EquilibriumReport:
             "deviation_fail_rate": self.deviation_fail_rate,
             "baseline_good_rate": self.baseline_good_rate,
             "deviation_good_rate": self.deviation_good_rate,
-            "per_member": self.member_rows(),
+            "per_member": [s._asdict() for s in self.per_member],
             "verdict_no_gain": self.verdict,
         }
 
@@ -551,13 +529,16 @@ def scaling_experiment(n_values: Iterable[int], gamma: float = 4.0,
                        trials: int = 5, seed0: int = 0,
                        *, calibration: Calibration = DEFAULT_CALIBRATION,
                        ) -> list[ScalingRow]:
-    """Measure round counts and the largest message at each size."""
-    rows = []
+    """Measure round counts and the largest message at each size. Every
+    size's config is checked before the first trial runs."""
+    sized = []
     for n in n_values:
-        colors = tuple((i % 2) + 1 for i in range(n))
-        config = SimConfig(n=n, gamma=gamma, colors=colors,
+        config = SimConfig(n=n, gamma=gamma,
+                           colors=tuple((i % 2) + 1 for i in range(n)),
                            calibration=calibration)
-        q = derive_params(n, gamma).phase_rounds
+        sized.append((config, validate_config(config).phase_rounds))
+    rows = []
+    for config, q in sized:
         max_bits = 0
         rounds = 0
         good = 0
@@ -567,7 +548,7 @@ def scaling_experiment(n_values: Iterable[int], gamma: float = 4.0,
             if t.messages:
                 max_bits = max(max_bits, max(m[5] for m in t.messages))
             good += t.flags.d2_good and t.flags.d3_good
-        rows.append(ScalingRow(n=n, q=q, rounds=rounds,
+        rows.append(ScalingRow(n=config.n, q=q, rounds=rounds,
                                max_message_bits=max_bits,
                                good_rate=good / trials if trials else 0.0))
     return rows

@@ -31,7 +31,8 @@ from .analysis import (
     scaling_experiment,
 )
 from .config import ExperimentConfig, parse_config
-from .engine import LOG_FIELDS, SimConfig, run_trial, trace_log_records
+from .engine import (LOG_FIELDS, SimConfig, config_to_dict, run_trial,
+                     trace_log_records)
 from .protocol import ConfigError, derive_params
 
 OUT_DIR_ENV = "FAIRGOSSIP_OUT"
@@ -159,17 +160,8 @@ _RUN_BATCH = 1024
 
 
 def _config_echo(sim: SimConfig, exp: ExperimentConfig) -> dict:
-    coalition = None
-    if sim.coalition is not None:
-        coalition = {"members": list(sim.coalition.members),
-                     "strategy": sim.coalition.strategy,
-                     "options": dict(sim.coalition.options)}
-    return {
-        "n": sim.n, "gamma": sim.gamma, "chi": sim.chi,
-        "num_colors": sim.num_colors, "faulty": sorted(sim.faulty),
-        "coalition": coalition, "seed": exp.seed,
-        "q": derive_params(sim.n, sim.gamma).phase_rounds,
-    }
+    return {**config_to_dict(sim), "seed": exp.seed,
+            "q": derive_params(sim.n, sim.gamma).phase_rounds}
 
 
 def _verdict_line(name: str, passed: Optional[bool]) -> int:

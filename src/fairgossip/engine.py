@@ -267,11 +267,9 @@ def run_trial(config: SimConfig, *, record: bool = True,
     strategy = None
     views: dict[int, MemberView] = {}
     if members:
-        ctx = AdversaryContext(
+        strategy = make_strategy(coalition.strategy, AdversaryContext(
             params=params, members=members,
-            options=dict(coalition.options), seed=seed)
-        strategy = make_strategy(coalition.strategy, ctx)
-        views = ctx.views
+            options=dict(coalition.options), seed=seed))
         for b in members:
             views[b] = MemberView(id=b, color=colors[b - 1])
         for b in members:
@@ -419,11 +417,10 @@ def run_trial(config: SimConfig, *, record: bool = True,
         own = certs.get(b)
         cert = strategy.declare_certificate(views[b], own)
         if cert is not own:
-            _check_cert(b, cert, params)
+            ce_bits[b] = _check_cert(b, cert, params, widths)
             if cert.owner != b:
                 raise StrategyError(f"member {b}: declared certificate "
                                     f"owned by {cert.owner}")
-            ce_bits[b] = certificate_bits(cert, widths)
             ce_ticket[b] = cert.ticket
         views[b].ce_min = ce_min[b] = cert
 
@@ -454,8 +451,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
                 # every ce_min is an honest agent's certificate or passed
                 # _check_cert, and certificates are frozen
                 elif held is not ce_min[t]:
-                    _check_cert(t, held, params)
-                    bits = certificate_bits(held, widths)
+                    bits = _check_cert(t, held, params, widths)
                     ticket = held.ticket
             if t != u:
                 sent += 1
@@ -511,8 +507,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
             if cert is ce_min[b]:
                 held = label[b]
             else:
-                _check_cert(b, cert, params)
-                cell_bits[r, i] = certificate_bits(cert, widths)
+                cell_bits[r, i] = _check_cert(b, cert, params, widths)
                 held = certs.label(cert)
             if 0 < label[target] != held:
                 inbox.append((i, target))
@@ -621,11 +616,14 @@ def _check_target(u: int, t: object, n: int) -> None:
         raise StrategyError(f"member {u}: bad pull target {t!r}")
 
 
-def _check_cert(u: int, cert: object, params: Params) -> None:
-    """A certificate member ``u`` sends must fit the wire format."""
+def _check_cert(u: int, cert: object, params: Params,
+                widths: BitWidths) -> int:
+    """The size of a certificate member ``u`` sends, which must fit the
+    wire format."""
     flaw = certificate_flaw(cert, params)
     if flaw:
         raise StrategyError(f"member {u}: {flaw}")
+    return certificate_bits(cert, widths)
 
 
 def _audit(cert: Certificate, modulus: int, intentions: list,
@@ -901,27 +899,24 @@ def _cert_to_list(cert: Certificate) -> list:
             cert.owner]
 
 
+def config_to_dict(config: SimConfig) -> dict:
+    """Plain-data form of a config's protocol inputs, which traces and the
+    CLI's summaries both write."""
+    coalition = config.coalition
+    return {"n": config.n, "gamma": config.gamma, "chi": config.chi,
+            "num_colors": config.num_colors, "faulty": sorted(config.faulty),
+            "coalition": None if coalition is None else {
+                "members": list(coalition.members),
+                "strategy": coalition.strategy,
+                "options": dict(coalition.options)}}
+
+
 def trace_to_dict(trace: Trace) -> dict:
     """Plain-data form of a trace; stable across runs for a fixed config."""
     cfg = trace.config
-    coalition = None
-    if cfg.coalition is not None:
-        coalition = {
-            "members": list(cfg.coalition.members),
-            "strategy": cfg.coalition.strategy,
-            "options": dict(cfg.coalition.options),
-        }
     return {
-        "config": {
-            "n": cfg.n,
-            "gamma": cfg.gamma,
-            "chi": cfg.chi,
-            "num_colors": cfg.num_colors,
-            "colors": list(cfg.colors),
-            "faulty": sorted(cfg.faulty),
-            "coalition": coalition,
-            "master_seed": cfg.master_seed,
-        },
+        "config": {**config_to_dict(cfg), "colors": list(cfg.colors),
+                   "master_seed": cfg.master_seed},
         "modulus": trace.params.modulus,
         "phase_rounds": trace.params.phase_rounds,
         "intentions": [list(map(list, i)) if i is not None else None

@@ -60,8 +60,6 @@ class Params:
     """
 
     n: int
-    gamma: float
-    chi: float
     num_colors: int
     modulus: int
     phase_rounds: int
@@ -88,8 +86,8 @@ def derive_params(n: int, gamma: float, chi: float = 1.0,
         raise ConfigError(f"gamma {gamma!r} gives too many rounds to draw "
                           f"at n={n}")
     rounds = max(1, math.ceil(span))
-    return Params(n=n, gamma=float(gamma), chi=float(chi),
-                  num_colors=num_colors, modulus=n ** 3, phase_rounds=rounds)
+    return Params(n=n, num_colors=num_colors, modulus=n ** 3,
+                  phase_rounds=rounds)
 
 
 def derive_stream(master_seed: int, label: int) -> np.random.Generator:

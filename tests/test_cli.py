@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from fairgossip import cli
 from fairgossip.adversary import STRATEGIES
 from fairgossip.cli import main
-from fairgossip.engine import CoalitionConfig, SimConfig, run_trial
+from fairgossip.engine import (CoalitionConfig, SimConfig, run_trial,
+                               trace_to_dict)
 
 RECORD_FIELDS = {"round", "kind", "sender", "receiver", "payload_bits"}
 SUMMARY_FIELDS = {"outcome", "winner", "rounds", "max_message_bits", "flags"}
@@ -291,6 +292,22 @@ def test_attack_strategy_options_flow_through(tmp_path):
     assert summary["config"]["coalition"]["options"] == {"victims": [1, 2]}
 
 
+def test_summary_and_trace_write_one_config_form():
+    args = cli.build_parser().parse_args([
+        "attack", "--n", "16", "--colors", "8x1,8x2", "--faulty", "2,3",
+        "--coalition", "5,9", "--strategy", "coherence_silence",
+        "--option", "victims=[1,4]", "--seed", "7"])
+    sim, exp = cli._resolve(args)
+    echo = cli._config_echo(sim, exp)
+    written = trace_to_dict(run_trial(sim))["config"]
+    shared = echo.keys() & written.keys()
+    assert shared == {"n", "gamma", "chi", "num_colors", "faulty",
+                      "coalition"}
+    assert {k: echo[k] for k in shared} == {k: written[k] for k in shared}
+    assert echo["coalition"]["options"] == {"victims": [1, 4]}
+    assert echo["faulty"] == [2, 3]
+
+
 def test_claims_subcommand(tmp_path):
     out = tmp_path / "claims.jsonl"
     assert main(["claims", "--n", "32", "--colors", "16x1,16x2",
@@ -455,6 +472,19 @@ def test_config_file_with_no_sizes_exits_two_with_one_line(tmp_path,
     assert main(["scaling", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == (
         "configuration error: sizes: need positive agent counts, got []\n")
+
+
+def test_scaling_checks_every_size_before_any_trial(monkeypatch, capsys):
+    # gamma 1e10 passes at n=8 but gives too many rounds at n=2097151
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before every size was checked")
+
+    monkeypatch.setattr("fairgossip.analysis.iter_trials", no_trials)
+    assert main(["scaling", "--sizes", "8,2097151", "--gamma", "1e10",
+                 "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "n=2097151" in err
 
 
 def test_empty_config_file_reads_as_no_keys(tmp_path):

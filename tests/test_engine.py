@@ -1057,8 +1057,7 @@ def _audit_cases(draw):
                     st.none(), st.just(intentions[s]),
                     st.lists(pair, min_size=q, max_size=q).map(tuple)))
         ledgers.append(ledger)
-    params = Params(n=n, gamma=1.0, chi=1.0, num_colors=2, modulus=m,
-                    phase_rounds=q)
+    params = Params(n=n, num_colors=2, modulus=m, phase_rounds=q)
     return params, cert, intentions, plain, members, ledgers
 
 
