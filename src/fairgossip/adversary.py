@@ -84,8 +84,8 @@ class DeviationStrategy:
     def __init__(self, ctx: AdversaryContext):
         unknown = set(ctx.options) - set(self.option_keys)
         if unknown:
-            raise ConfigError(
-                f"strategy {self.name!r} got unknown options {sorted(unknown)}")
+            raise ConfigError(f"strategy {self.name!r} got unknown options "
+                              f"{sorted(unknown, key=str)}")
         self.ctx = ctx
 
     # -- voting-intention ------------------------------------------------

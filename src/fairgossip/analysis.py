@@ -19,6 +19,7 @@ from .engine import (
     SimConfig,
     Trace,
     draw_chunks,
+    fields_dict,
     run_honest_trials,
     run_trial,
     validate_config,
@@ -267,19 +268,9 @@ class EquilibriumReport:
         return any(s.difference <= s.ci_half_width for s in self.per_member)
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "members": list(self.members),
-            "trials": self.trials,
-            "kept_pairs": self.kept_pairs,
-            "dropped_pairs": self.dropped_pairs,
-            "baseline_fail_rate": self.baseline_fail_rate,
-            "deviation_fail_rate": self.deviation_fail_rate,
-            "baseline_good_rate": self.baseline_good_rate,
-            "deviation_good_rate": self.deviation_good_rate,
-            "per_member": [s._asdict() for s in self.per_member],
-            "verdict_no_gain": self.verdict,
-        }
+        return {**fields_dict(self),
+                "per_member": [s._asdict() for s in self.per_member],
+                "verdict_no_gain": self.verdict}
 
 
 @dataclass(slots=True)
@@ -392,19 +383,11 @@ class ClaimsAuditReport:
                 and self.claim4_passed is not False)
 
     def to_dict(self) -> dict:
-        return {
-            "traces": self.traces,
-            "eligible": self.eligible,
-            "claim1_checked": self.claim1_checked,
-            "claim1_violations": self.claim1_violations,
-            "claim3": [{"color": c, "expected": e, "observed": o, "ok": ok}
-                       for c, e, o, ok in self.claim3_rows],
-            "claim3_passed": self.claim3_passed,
-            "claim4_rate": self.claim4_rate,
-            "claim4_bound": self.claim4_bound,
-            "claim4_passed": self.claim4_passed,
-            "passed": self.passed,
-        }
+        doc = fields_dict(self)
+        doc["claim3"] = [dict(zip(("color", "expected", "observed", "ok"), r))
+                         for r in doc.pop("claim3_rows")]
+        doc["passed"] = self.passed
+        return doc
 
 
 @dataclass(slots=True)

@@ -16,7 +16,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict
 from functools import cache, partial
 from itertools import islice
 from typing import Any, Callable, Iterator, Mapping, Optional, TextIO
@@ -31,8 +30,8 @@ from .analysis import (
     scaling_experiment,
 )
 from .config import ExperimentConfig, parse_config
-from .engine import (LOG_FIELDS, SimConfig, config_to_dict, run_trial,
-                     trace_log_records)
+from .engine import (LOG_FIELDS, SimConfig, config_to_dict, fields_dict,
+                     run_trial, trace_log_records)
 from .protocol import ConfigError, derive_params
 
 OUT_DIR_ENV = "FAIRGOSSIP_OUT"
@@ -43,7 +42,7 @@ OUT_DIR_ENV = "FAIRGOSSIP_OUT"
 def _load_doc(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:        # YAML reads the encoding itself
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
@@ -68,16 +67,21 @@ def _parse_option(text: str) -> tuple[str, Any]:
         raise ConfigError(f"option {text!r}: value is not YAML") from None
 
 
-def _resolve(args: argparse.Namespace,
-             defaults: Optional[Mapping[str, Any]] = None,
-             ) -> tuple[SimConfig, ExperimentConfig]:
-    """Merge the config file, read once, with the flags; `defaults` stand
-    in for keys the file leaves out. `parse_config` coerces and checks
-    every value, so list flags are passed on as split strings."""
+def _submap(doc: Mapping, key: str, name: str) -> dict:
+    """A copy of the map `doc[key]` for flags to update, empty if unset."""
+    value = {} if doc.get(key) is None else doc[key]
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name}: expected a map, got {value!r}")
+    return dict(value)
+
+
+def _inputs(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The config file, read once, and the flag overrides; `parse_config`
+    checks every value, so list flags are passed on as split strings."""
     if args.parallel < 1:
         raise ConfigError(f"parallel: need at least 1 worker, "
                           f"got {args.parallel}")
-    doc = {**(defaults or {}), **_load_doc(args.config)}
+    doc = _load_doc(args.config)
     overrides: dict[str, Any] = {
         "n": args.n, "gamma": args.gamma, "chi": args.chi,
         "num_colors": args.num_colors, "colors": args.colors,
@@ -88,24 +92,28 @@ def _resolve(args: argparse.Namespace,
     if getattr(args, "sizes", None) is not None:
         overrides["sizes"] = args.sizes.split(",")
     if args.beta1 is not None or args.beta2 is not None:
-        cal = dict(doc.get("calibration") or {})
+        cal = _submap(doc, "calibration", "calibration")
         if args.beta1 is not None:
             cal["beta1"] = args.beta1
         if args.beta2 is not None:
             cal["beta2"] = args.beta2
         overrides["calibration"] = cal
     if args.coalition or args.strategy or args.option:
-        coal = dict(doc.get("coalition") or {})
+        coal = _submap(doc, "coalition", "coalition")
         if args.coalition:
             coal["members"] = args.coalition.split(",")
         if args.strategy:
             coal["strategy"] = args.strategy
         if args.option:
-            merged = dict(coal.get("options") or {})
+            merged = _submap(coal, "options", "coalition.options")
             merged.update(dict(_parse_option(o) for o in args.option))
             coal["options"] = merged
         overrides["coalition"] = coal
-    return parse_config(doc, overrides)
+    return doc, overrides
+
+
+def _resolve(args: argparse.Namespace) -> tuple[SimConfig, ExperimentConfig]:
+    return parse_config(*_inputs(args))
 
 
 def _require_serial(args: argparse.Namespace) -> None:
@@ -229,7 +237,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                        "rounds": trace.stats.rounds,
                        "max_message_bits": max(
                            (m[5] for m in trace.messages), default=0),
-                       "flags": asdict(trace.flags)}
+                       "flags": fields_dict(trace.flags)}
             fh.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
@@ -276,11 +284,13 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     _require_serial(args)
-    # scaling reads sizes, not n
-    sim, exp = _resolve(args, {"n": 16, "trials": 5})
-    if sim.coalition is not None or sim.faulty:
+    doc, overrides = _inputs(args)
+    if any(overrides.get(k) or doc.get(k) for k in ("coalition", "faulty")):
         raise ConfigError("scaling runs fault-free, coalition-free "
                           "configs; got a coalition or faulty agents")
+    # scaling reads sizes, not n: n=1, where no gamma is too large, stands
+    # in unless one is given, and `scaling_experiment` checks every size
+    sim, exp = parse_config({"n": 1, "trials": 5, **doc}, overrides)
     table = scaling_experiment(exp.sizes, sim.gamma, exp.trials, exp.seed,
                                calibration=sim.calibration)
     passed = all(row.rounds == 4 * row.q for row in table)

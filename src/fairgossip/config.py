@@ -40,7 +40,6 @@ class ExperimentConfig:
     seed: int = 0
     sigma_mult: float = 4.0
     max_fail_rate: float = 0.01
-    alpha: float = 0.25              # fault fraction for `faulty: random`
     sizes: tuple[int, ...] = (16, 64, 256)
 
 
@@ -66,7 +65,8 @@ def expand_colors(spec: Any, n: int) -> tuple[int, ...]:
     """Accept an explicit list or the "16x1,16x2" shorthand.
 
     Shorthand items are count-by-color pairs expanded positionally by
-    agent id; a bare color stands for a single agent.
+    agent id; a bare color stands for a single agent. Their counts must
+    add up to n, which is checked before any is expanded.
     """
     if spec is None:
         return tuple((i % 2) + 1 for i in range(n))
@@ -76,7 +76,7 @@ def expand_colors(spec: Any, n: int) -> tuple[int, ...]:
         return tuple(spec)
     if not isinstance(spec, str):
         raise ConfigError(f"colors: expected list or shorthand, got {spec!r}")
-    out: list[int] = []
+    items = []
     for item in spec.split(","):
         item = item.strip()
         count, sep, color = item.rpartition("x")
@@ -87,8 +87,11 @@ def expand_colors(spec: Any, n: int) -> tuple[int, ...]:
             raise ConfigError(f"colors: bad shorthand item {item!r}") from None
         if k < 0:
             raise ConfigError(f"colors: negative count in {item!r}")
-        out.extend([c] * k)
-    return tuple(out)
+        items.append((k, c))
+    total = sum(k for k, _ in items)
+    if total != n:
+        raise ConfigError(f"colors: need {n} colors, got {total}")
+    return tuple(c for k, c in items for _ in range(k))
 
 
 def resolve_faulty(spec: Any, n: int, colors: tuple[int, ...],
@@ -145,7 +148,8 @@ def resolve_coalition(spec: Any) -> Optional[CoalitionConfig]:
         raise ConfigError(f"coalition: expected a map, got {spec!r}")
     unknown = set(spec) - {"members", "strategy", "options"}
     if unknown:
-        raise ConfigError(f"coalition: unknown keys {sorted(unknown)}")
+        raise ConfigError(
+            f"coalition: unknown keys {sorted(unknown, key=str)}")
     members = spec.get("members")
     if not members or not isinstance(members, (list, tuple)):
         raise ConfigError("coalition.members: need a list of agent ids")
@@ -153,7 +157,7 @@ def resolve_coalition(spec: Any) -> Optional[CoalitionConfig]:
     strategy = spec.get("strategy", "honest")
     if type(strategy) is not str or strategy not in STRATEGIES:
         raise ConfigError(f"coalition.strategy: unknown strategy {strategy!r}")
-    options = spec.get("options") or {}
+    options = {} if spec.get("options") is None else spec["options"]
     if not isinstance(options, Mapping):
         raise ConfigError("coalition.options: expected a map")
     return CoalitionConfig(members=members, strategy=strategy,
@@ -188,7 +192,8 @@ def parse_config(doc: Optional[Mapping] = None,
             merged[k] = v
     unknown = set(merged) - _SIM_KEYS - _EXP_KEYS
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise ConfigError(
+            f"unknown config fields: {sorted(unknown, key=str)}")
     if "n" not in merged:
         raise ConfigError("n: required")
     n = merged["n"]
@@ -210,14 +215,14 @@ def parse_config(doc: Optional[Mapping] = None,
         seed=read("seed", 0, int),
         sigma_mult=read("sigma_mult", 4.0, float),
         max_fail_rate=read("max_fail_rate", 0.01, float),
-        alpha=read("alpha", 0.25, float),
         sizes=tuple(_coerce("sizes", v, int) for v in sizes))
+    alpha = read("alpha", 0.25, float)
     if exp.trials < 1:
         raise ConfigError(f"trials: need at least 1, got {exp.trials}")
     if exp.seed < 0:
         raise ConfigError(f"seed: need a non-negative integer, got {exp.seed}")
-    if not 0 <= exp.alpha <= 1:
-        raise ConfigError(f"alpha: need a fraction in [0, 1], got {exp.alpha}")
+    if not 0 <= alpha <= 1:
+        raise ConfigError(f"alpha: need a fraction in [0, 1], got {alpha}")
     if not 0 <= exp.max_fail_rate <= 1:
         raise ConfigError(f"max_fail_rate: need a fraction in [0, 1], "
                           f"got {exp.max_fail_rate}")
@@ -237,7 +242,7 @@ def parse_config(doc: Optional[Mapping] = None,
         chi=read("chi", 1.0, float),
         num_colors=num_colors,
         faulty=resolve_faulty(merged.get("faulty"), n, colors, exp.seed,
-                              exp.alpha),
+                              alpha),
         coalition=resolve_coalition(merged.get("coalition")),
         master_seed=exp.seed,
         calibration=resolve_calibration(merged.get("calibration")))

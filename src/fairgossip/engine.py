@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Optional
@@ -899,6 +899,11 @@ def _cert_to_list(cert: Certificate) -> list:
             cert.owner]
 
 
+def fields_dict(obj: Any) -> dict:
+    """A dataclass's fields by name, one level deep: `asdict` copies all."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def config_to_dict(config: SimConfig) -> dict:
     """Plain-data form of a config's protocol inputs, which traces and the
     CLI's summaries both write."""
@@ -935,13 +940,9 @@ def trace_to_dict(trace: Trace) -> dict:
         "decisions": {str(u): d for u, d in trace.decisions.items()},
         "winner": trace.winner,
         "outcome": trace.outcome,
-        "flags": asdict(trace.flags),
-        "stats": {
-            "messages": trace.stats.messages,
-            "bits": trace.stats.bits,
-            "rounds": trace.stats.rounds,
-            "by_phase": {p: [c, b] for p, c, b in trace.stats.by_phase},
-        },
+        "flags": fields_dict(trace.flags),
+        "stats": {**fields_dict(trace.stats), "by_phase": {
+            p: [c, b] for p, c, b in trace.stats.by_phase}},
         "votes": ([list(v) for v in trace.votes]
                   if trace.votes is not None else None),
         "messages": ([list(msg) for msg in trace.messages]

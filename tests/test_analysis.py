@@ -346,6 +346,9 @@ def test_report_serializes():
     assert doc["strategy"] == "k_underbid"
     assert doc["verdict_no_gain"] == rep.verdict
     assert doc["per_member"][0]["member"] == 5
+    # a report's JSON is its fields plus its verdict
+    assert set(doc) == ({f.name for f in dataclasses.fields(rep)}
+                        | {"verdict_no_gain"})
     json.dumps(doc)
 
 
@@ -373,7 +376,12 @@ def test_claims_audit_honest_coalition():
     obs = {c: o for c, _, o, _ in rep.claim3_rows}
     assert obs[1] == pytest.approx(0.4552, abs=1e-4)
     assert obs[2] == pytest.approx(0.5448, abs=1e-4)
-    json.dumps(rep.to_dict())
+    doc = rep.to_dict()
+    assert set(doc) == ({f.name for f in dataclasses.fields(rep)}
+                        - {"claim3_rows"} | {"claim3", "passed"})
+    assert [list(row) for row in doc["claim3"]] == [
+        ["color", "expected", "observed", "ok"]] * 2
+    json.dumps(doc)
 
 
 def test_claims_audit_under_attack_conditions_out_aborts():

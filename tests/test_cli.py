@@ -2,8 +2,10 @@
 formats, reproducibility, and the parallel merge."""
 
 import contextlib
+import copy
 import csv
 import dataclasses
+import datetime
 import io
 import json
 import os
@@ -11,6 +13,7 @@ import platform
 import re
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -450,6 +453,53 @@ def test_bad_config_file_exits_two_with_one_line(tmp_path, capsys):
     assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc, flags", [
+    (b"\xff\xfe n: 3\n", []),        # a UTF-16 mark, then no UTF-16
+    (b"n: 8\ngamma: \xff\n", []),                  # not UTF-8
+    # YAML reads `1:` as an int key, which no str key sorts against
+    (b"n: 8\n1: 2\nzz: 3\n", []),
+    (b"n: 8\ncoalition: {members: [1], 1: a, b: c}\n", []),
+    (b"n: 8\ncoalition: {members: [1], strategy: coherence_silence, "
+     b"options: {3: 4, zz: 1}}\n", []),
+    # a flag that updates a map the file gives as something else
+    (b"n: 8\ncoalition: 5\n", ["--coalition", "1"]),
+    (b"n: 8\ncoalition: []\n", ["--coalition", "1"]),
+    (b"n: 8\ncalibration: [1]\n", ["--beta1", "0.1"]),
+    (b"n: 8\ncoalition: {members: [1], options: [1]}\n",
+     ["--option", "victims=[2]"]),
+], ids=["utf16", "utf8", "keys", "coalition-keys", "option-keys",
+        "coalition-map", "coalition-list", "calibration-map", "options-map"])
+def test_odd_config_file_exits_two_with_one_line(doc, flags, tmp_path,
+                                                 capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(doc)
+    assert main(["run", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--faulty", "20"], ["--coalition", "20"], ["--strategy", "k_underbid"]])
+def test_scaling_rejects_faults_and_coalitions_at_any_size(flags, capsys):
+    assert main(["scaling", "--sizes", "8", "--trials", "1", *flags]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: scaling runs fault-free, coalition-free "
+        "configs; got a coalition or faulty agents\n")
+
+
+def test_scaling_names_a_listed_size_when_gamma_is_too_large(tmp_path,
+                                                             capsys):
+    # scaling runs only the listed sizes, so an error names one of them
+    cfg = tmp_path / "scaling.yaml"
+    cfg.write_text("gamma: 1.0e+308\nsizes: [8, 12]\n")
+    for argv in (["--sizes", "8", "--gamma", "1e308"],
+                 ["--config", str(cfg)]):
+        assert main(["scaling", "--trials", "1", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.search(r"at n=(8|12)$", err.rstrip()), err
+
+
 @pytest.mark.parametrize("doc", [
     "n: true\n",
     "n: 4\ncolors: [true, true, 2, 2]\n",
@@ -663,6 +713,10 @@ def cli_argv(draw):
           "--strategy", "coherence_silence", "--option", "victims=5"])
 @settings(max_examples=300, deadline=None)
 def test_main_survives_any_argv(argv):
+    _assert_survives(argv)
+
+
+def _assert_survives(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -674,3 +728,76 @@ def test_main_survives_any_argv(argv):
     assert code in (0, 1, 2)
     if code == 1:           # a verdict that did not pass, never a crash
         assert re.search(r"verdict: (FAIL|indeterminate)\n$", err.getvalue())
+
+
+# Values a config document may hold where the code expects another type.
+ODD = st.sampled_from([
+    None, True, "", "x", "random", "random:1", "color:1:1", "4x1,4x2",
+    "20000000x1", "1,2", -1, 0, 2.5, float("nan"), 1e308, [], {}, [1, "x"],
+    datetime.date(2001, 12, 14), b"\x00\xff"])
+OPTION_DOC_VALUES = [yaml.safe_load(v) for vs in OPTION_VALUES.values()
+                     for v in vs]
+
+
+@st.composite
+def config_file_argv(draw):
+    """A subcommand and a config document with n <= 12, trials <= 3 and
+    sizes <= 16: valid apart from up to two odd values, which may sit at
+    any key (int keys too) of the document or of one of its maps, and
+    apart from stray bytes that are not UTF-8. A few flags update the
+    document's maps."""
+    n = draw(st.integers(1, 12))
+    members = st.lists(st.integers(1, n), min_size=1, max_size=2,
+                       unique=True)
+    drawn = draw(st.fixed_dictionaries({"n": st.just(n)}, optional={
+        "gamma": st.floats(1, 6),
+        "chi": st.floats(0, 3),
+        "colors": st.sampled_from([f"{n}x1", f"{n // 2}x1,{n - n // 2}x2",
+                                   [u % 3 + 1 for u in range(n)]]),
+        "faulty": st.sampled_from([[n], "random", "random:1", "color:1:1",
+                                   {"random": 1}, {"color": 1, "count": 1}]),
+        "coalition": st.fixed_dictionaries(
+            {"members": members},
+            optional={"strategy": st.sampled_from(BUILT_IN_STRATEGIES),
+                      "options": st.dictionaries(
+                          st.sampled_from(sorted(OPTION_VALUES)),
+                          st.sampled_from(OPTION_DOC_VALUES), max_size=1)}),
+        "calibration": st.fixed_dictionaries({}, optional={
+            "beta1": st.floats(0, 0.5), "beta2": st.floats(4, 10)}),
+        "seed": st.integers(0, 2**70),
+        "trials": st.integers(1, 3),
+        "sigma_mult": st.floats(0.5, 8),
+        "max_fail_rate": st.floats(0, 1),
+        "alpha": st.floats(0, 1),
+        "sizes": st.lists(st.integers(1, 16), min_size=1, max_size=3),
+    }))
+    doc = copy.deepcopy(drawn)    # the odd values are written into its maps
+    for _ in range(draw(st.integers(0, 2))):
+        target = doc
+        maps = [k for k, v in doc.items() if isinstance(v, dict)]
+        if maps and draw(st.booleans()):
+            target = doc[draw(st.sampled_from(maps))]
+        key = draw(st.sampled_from([*target, 0, 1, 2, "bogus"]))
+        target[key] = copy.deepcopy(draw(ODD))
+    data = yaml.safe_dump(doc).encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3("])) \
+            + data[at:]
+    sub = draw(st.sampled_from(["run", "fairness", "attack", "claims",
+                                "scaling"]))
+    argv = [sub, *draw(st.sampled_from([
+        [], ["--coalition", "1"], ["--strategy", "k_underbid"],
+        ["--option", "victims=[2]"], ["--beta1", "0.1"], ["--n", "8"]]))]
+    if sub == "scaling":
+        argv += ["--sizes", "8"]          # not the default 16,64,256
+    return data, argv
+
+
+@given(config_file_argv())
+@settings(max_examples=200, deadline=None)
+def test_main_survives_any_config_file(tmp_path_factory, doc_argv):
+    data, argv = doc_argv
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_bytes(data)
+    _assert_survives([*argv, "--config", str(path)])

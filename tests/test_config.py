@@ -1,6 +1,9 @@
 """Config-document parsing: shorthand expansion, fault/coalition/calibration
 resolution, defaults, and override precedence."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from fairgossip.config import (
@@ -28,6 +31,18 @@ def test_color_shorthand():
 def test_color_shorthand_rejects(bad):
     with pytest.raises(ConfigError):
         expand_colors(bad, 8)
+
+
+def test_color_shorthand_rejects_a_count_before_expanding_it():
+    # the counts are added up first: a mismatch costs no list of that size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="need 8 colors, got 20000000"):
+            parse_config({"n": 8, "colors": "20000000x1"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- faults -----------------------------------------------------------------
@@ -191,7 +206,35 @@ def test_calibration_from_document():
     # more rounds than can be counted, or than one seed's draws can hold
     {"n": 8, "gamma": 1e308},
     {"n": 4, "gamma": 1e20},
+    # unknown keys of mixed types, as YAML reads `1:` and `zz:`
+    {"n": 8, 1: 2, "zz": 3},
+    {"n": 8, "coalition": {"members": [1], 1: "a", "b": "c"}},
+    {"n": 8, "coalition": {"members": [1], "strategy": "coherence_silence",
+                           "options": {3: 4, "zz": 1}}},
+    # options that are no map, however empty
+    {"n": 8, "coalition": {"members": [1], "options": 0}},
+    {"n": 8, "coalition": {"members": [1], "options": []}},
 ])
 def test_parse_config_rejects(doc):
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 8, 1: 2, "zz": 3},
+    {"n": 8, "coalition": {"members": [1], 1: "a", "zz": "c"}},
+    {"n": 8, "coalition": {"members": [1], "strategy": "coherence_silence",
+                           "options": {1: 4, "zz": 1}}},
+])
+def test_unknown_keys_of_mixed_types_are_named(doc):
+    with pytest.raises(ConfigError, match=r"\[1, 'zz'\]"):
+        parse_config(doc)
+
+
+def test_alpha_is_read_only_to_resolve_random_faults():
+    assert "alpha" not in {f.name for f in dataclasses.fields(
+        ExperimentConfig)}
+    sim, _ = parse_config({"n": 8, "faulty": "random", "alpha": 0.5})
+    assert len(sim.faulty) == 4
+    with pytest.raises(ConfigError, match="alpha"):
+        parse_config({"n": 8, "alpha": -0.5})
