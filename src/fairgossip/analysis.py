@@ -528,8 +528,7 @@ def scaling_experiment(n_values: Iterable[int], gamma: float = 4.0,
         for t in iter_trials(config, range(seed0, seed0 + trials),
                              record=True):
             rounds = max(rounds, t.stats.rounds)
-            if t.messages:
-                max_bits = max(max_bits, max(m[5] for m in t.messages))
+            max_bits = max(max_bits, t.max_message_bits)
             good += t.flags.d2_good and t.flags.d3_good
         rows.append(ScalingRow(n=config.n, q=q, rounds=rounds,
                                max_message_bits=max_bits,

@@ -163,7 +163,8 @@ def _emit(args: argparse.Namespace, rows: list[dict],
 
 # `run` writes its JSONL log this many rows at a time, each row as
 # `json.dumps(dict(zip(LOG_FIELDS, row)), sort_keys=True)` writes it. Kinds
-# are plain identifiers, so quoting them needs no escapes.
+# are plain identifiers, so quoting them needs no escapes, and every other
+# field is an int or None, looked up in a table of their JSON texts.
 _RUN_BATCH = 1024
 
 
@@ -226,17 +227,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
             writer.writerow(LOG_FIELDS)
             writer.writerows(rows)
         else:
+            max_bits = trace.max_message_bits
+            # no round, agent or message size exceeds the largest of these
+            text = {i: str(i) for i in range(
+                max(sim.n, trace.stats.rounds, max_bits) + 1)}
+            text[None] = "null"
             while batch := "".join([
-                    f'{{"kind": "{kind}", "payload_bits": {bits}, '
-                    f'"receiver": {"null" if receiver is None else receiver}, '
-                    f'"round": {rnd}, "sender": {sender}}}\n'
+                    f'{{"kind": "{kind}", "payload_bits": {text[bits]}, '
+                    f'"receiver": {text[receiver]}, "round": {text[rnd]}, '
+                    f'"sender": {text[sender]}}}\n'
                     for rnd, kind, sender, receiver, bits
                     in islice(rows, _RUN_BATCH)]):
                 fh.write(batch)
             summary = {"outcome": trace.outcome, "winner": trace.winner,
                        "rounds": trace.stats.rounds,
-                       "max_message_bits": max(
-                           (m[5] for m in trace.messages), default=0),
+                       "max_message_bits": max_bits,
                        "flags": fields_dict(trace.flags)}
             fh.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0

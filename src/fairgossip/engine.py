@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
@@ -52,6 +52,11 @@ PHASE_VOTING = "voting"
 PHASE_FIND_MIN = "find_min"
 PHASE_COHERENCE = "coherence"
 PHASES = (PHASE_COMMITMENT, PHASE_VOTING, PHASE_FIND_MIN, PHASE_COHERENCE)
+# message kinds; a trace's log holds each as its index here
+KINDS = ("pull_request", "intention_reply", "vote_push", "cert_reply",
+         "cert_push")
+PULL, INTENTION_REPLY, VOTE_PUSH, CERT_REPLY, CERT_PUSH = range(len(KINDS))
+_KIND_NAMES = np.array(KINDS, dtype=object)
 
 
 class CoalitionRegimeWarning(UserWarning):
@@ -176,8 +181,37 @@ class Trace:
     outcome: Optional[int]
     flags: GoodExecutionFlags
     stats: MessageStats
-    votes: Optional[list[tuple[int, int, int, int]]]    # (round, sender, target, value)
-    messages: Optional[list[tuple[str, int, int, int, str, int]]]
+    # Recorded trials only, else None. `ballots` has one entry per vote
+    # cast, in (round, sender) order, in rows round, sender, target and
+    # value. `log` has one entry per message, in send order, in one row
+    # per LOG_FIELDS name: global round, kind as an index into KINDS,
+    # sender, receiver and payload bits.
+    ballots: Optional[np.ndarray]
+    log: Optional[np.ndarray]
+
+    @property
+    def votes(self) -> Optional[list[tuple[int, int, int, int]]]:
+        """(round, sender, target, value) per vote cast, built from
+        ``ballots`` on each read."""
+        if self.ballots is None:
+            return None
+        return list(zip(*self.ballots.tolist()))
+
+    @property
+    def messages(self) -> Optional[list[tuple[str, int, int, int, str, int]]]:
+        """(phase, round within it, sender, receiver, kind, bits) per
+        message, in send order, built from ``log`` on each read."""
+        if self.log is None:
+            return None
+        q = self.params.phase_rounds
+        return [(PHASES[(r - 1) // q], (r - 1) % q + 1, s, t, KINDS[k], b)
+                for r, k, s, t, b in zip(*self.log.tolist())]
+
+    @property
+    def max_message_bits(self) -> int:
+        """The largest message's payload bits, 0 for none; from ``log``,
+        so recorded trials only."""
+        return int(self.log[-1].max(initial=0))
 
     def agent_payoff(self, agent: int) -> float:
         return payoff(self.outcome, self.config.colors[agent - 1],
@@ -286,7 +320,7 @@ def run_trial(config: SimConfig, *, record: bool = True,
     b_pull = widths.agent                           # the puller's id
     b_reply = q * (widths.value + widths.agent)     # q (value, target) pairs
     b_vote = widths.value
-    messages: Optional[list] = [] if record else None
+    logs: Optional[list] = [] if record else None     # each phase's log
     by_phase: list = []     # (phase, messages, bits), appended as each ends
 
     # --- commitment: q rounds of pulling vote declarations ---------------
@@ -355,17 +389,11 @@ def run_trial(config: SimConfig, *, record: bool = True,
     n_pulls, n_replies = int(sent.sum()), int(replied.sum())
     by_phase.append((PHASE_COMMITMENT, n_pulls + n_replies,
                      n_pulls * b_pull + n_replies * b_reply))
-    if messages is not None:
-        # (round, puller) order, each reply right after its request
+    if logs is not None:
+        # (round, puller) order
         r, i = np.nonzero(sent)
-        for rnd, u, t, answer in zip((r + 1).tolist(), senders[i].tolist(),
-                                     pulled[sent].tolist(),
-                                     replied[sent].tolist()):
-            messages.append((PHASE_COMMITMENT, rnd, u, t, "pull_request",
-                             b_pull))
-            if answer:
-                messages.append((PHASE_COMMITMENT, rnd, t, u,
-                                 "intention_reply", b_reply))
+        logs.append(_pull_log(r + 1, senders[i], pulled[r, i], replied[r, i],
+                              b_pull, INTENTION_REPLY, b_reply))
 
     # --- voting: q rounds of pushing vote values --------------------------
     # Row i holds the q votes active[i] pushes, in round order: an honest
@@ -387,17 +415,14 @@ def run_trial(config: SimConfig, *, record: bool = True,
             cast_values[i, rnd - 1], cast_targets[i, rnd - 1] = vote
     pushed = ((cast_targets != senders[:, None]) & (cast_targets > 0)).sum()
     by_phase.append((PHASE_VOTING, int(pushed), int(pushed) * b_vote))
-    votes_log: Optional[list] = None
+    ballots = None
     if record:
         # (round, sender) order: down each round's column in turn
-        by_round = cast_targets.T > 0
-        rnd_index, row = np.nonzero(by_round)
-        votes_log = list(zip((rnd_index + 1).tolist(),
-                             senders[row].tolist(),
-                             cast_targets.T[by_round].tolist(),
-                             cast_values.T[by_round].tolist()))
-        messages.extend((PHASE_VOTING, rnd, u, target, "vote_push", b_vote)
-                        for rnd, u, target, _ in votes_log if target != u)
+        r, i = np.nonzero(cast_targets.T > 0)
+        ballots = np.stack((r + 1, senders[i], cast_targets[i, r],
+                            cast_values[i, r]))
+        rnd, u, target, _ = ballots[:, ballots[1] != ballots[2]]
+        logs.append(_log(q + rnd, VOTE_PUSH, u, target, b_vote))
     sizes, sums = _tally(cast_targets.ravel(), cast_values, n + 1, m)
     tally_sizes = dict(zip(active, sizes[senders].tolist()))
     tickets = dict(zip(active, sums[senders].tolist()))
@@ -430,16 +455,21 @@ def run_trial(config: SimConfig, *, record: bool = True,
     # the minimum several hops in one round. A plain target answers with
     # what it holds, a member through its hook, a faulty one not at all
     # (held None); a self-pull sends nothing but is answered all the same.
+    # `columns` ends with every pull's target, 0 for a skipped one.
     sent = 0            # pulls sent
     lone = 0            # sent pulls left unanswered
     reply_bits = 0      # bits of the replies
+    # when recording, each sent pull's reply bits, -1 for no reply
+    answers: Optional[list] = [] if record else None
     for rnd, col in enumerate(columns, 1):
         for u, t in zip(active, col):
             if not plain[u]:
                 t = strategy.choose_findmin_target(views[u], rnd, t)
                 if t is None:
+                    col[rows[u]] = 0
                     continue
                 _check_target(u, t, n)
+                col[rows[u]] = t
             held, bits, ticket = ce_min[t], ce_bits[t], ce_ticket[t]
             if not plain[t]:
                 held = (None if t in faulty else
@@ -456,12 +486,8 @@ def run_trial(config: SimConfig, *, record: bool = True,
             if t != u:
                 sent += 1
                 reply_bits += bits
-                if messages is not None:
-                    messages.append((PHASE_FIND_MIN, rnd, u, t,
-                                     "pull_request", b_pull))
-                    if held is not None:
-                        messages.append((PHASE_FIND_MIN, rnd, t, u,
-                                         "cert_reply", bits))
+                if answers is not None:
+                    answers.append(-1 if held is None else bits)
             # min_certificate: only a strictly smaller ticket wins
             if ticket < ce_ticket[u] and held is not None:
                 ce_min[u], ce_bits[u], ce_ticket[u] = held, bits, ticket
@@ -469,6 +495,13 @@ def run_trial(config: SimConfig, *, record: bool = True,
                     views[u].ce_min = ce_min[u] = certs.get(held)
     by_phase.append((PHASE_FIND_MIN, 2 * sent - lone,
                      sent * b_pull + reply_bits))
+    if logs is not None:
+        found = np.array(columns, dtype=np.int64)
+        r, i = np.nonzero((found != senders) & (found > 0))
+        answers = np.array(answers, dtype=np.int64)
+        logs.append(_pull_log(2 * q + r + 1, senders[i], found[r, i],
+                              answers >= 0, b_pull, CERT_REPLY,
+                              answers[answers >= 0]))
 
     # --- coherence: q rounds of pushing; a conflicting certificate is fatal
     # `label` holds each agent's certificate as a number, equal ones
@@ -522,13 +555,10 @@ def run_trial(config: SimConfig, *, record: bool = True,
         sent &= np.arange(q)[:, None] < quiet[senders]
     by_phase.append((PHASE_COHERENCE, int(sent.sum()),
                      int(cell_bits[sent].sum())))
-    if messages is not None:
+    if logs is not None:
         r, i = np.nonzero(sent)
-        messages.extend(
-            (PHASE_COHERENCE, rnd, u, target, "cert_push", bits)
-            for rnd, u, target, bits in zip(
-                (r + 1).tolist(), senders[i].tolist(),
-                pushes[sent].tolist(), cell_bits[sent].tolist()))
+        logs.append(_log(3 * q + r + 1, CERT_PUSH, senders[i], pushes[r, i],
+                         cell_bits[r, i]))
 
     # --- verification: accept the winner or abort -------------------------
     # Every agent, member or not, audits each distinct certificate once
@@ -605,9 +635,31 @@ def run_trial(config: SimConfig, *, record: bool = True,
         outcome=outcome,
         flags=flags,
         stats=stats,
-        votes=votes_log,
-        messages=messages,
+        ballots=ballots,
+        log=None if logs is None else np.concatenate(logs, axis=1),
     )
+
+
+def _log(rounds, kind, senders, receivers, bits) -> np.ndarray:
+    """``Trace.log`` columns of one message per entry of ``rounds``; a
+    scalar stands for the same value in every message."""
+    return np.stack(np.broadcast_arrays(rounds, kind, senders, receivers,
+                                        bits))
+
+
+def _pull_log(rounds, pullers, targets, answered, pull_bits, reply_kind,
+              reply_bits) -> np.ndarray:
+    """``Trace.log`` columns of pulls in send order, each pull that
+    ``answered`` marks followed by its target's reply."""
+    # a pull lands after the pulls before it and their replies
+    at = np.arange(len(rounds)) + np.cumsum(answered) - answered
+    log = np.empty((len(LOG_FIELDS), len(at) + int(answered.sum())),
+                   dtype=np.int64)
+    log[:, at] = _log(rounds, PULL, pullers, targets, pull_bits)
+    log[:, at[answered] + 1] = _log(rounds[answered], reply_kind,
+                                    targets[answered], pullers[answered],
+                                    reply_bits)
+    return log
 
 
 def _check_target(u: int, t: object, n: int) -> None:
@@ -944,9 +996,9 @@ def trace_to_dict(trace: Trace) -> dict:
         "stats": {**fields_dict(trace.stats), "by_phase": {
             p: [c, b] for p, c, b in trace.stats.by_phase}},
         "votes": ([list(v) for v in trace.votes]
-                  if trace.votes is not None else None),
+                  if trace.ballots is not None else None),
         "messages": ([list(msg) for msg in trace.messages]
-                     if trace.messages is not None else None),
+                     if trace.log is not None else None),
     }
 
 
@@ -961,7 +1013,7 @@ def trace_json_line(trace: Trace) -> str:
 LOG_FIELDS = ("round", "kind", "sender", "receiver", "payload_bits")
 
 
-def trace_log_records(trace: Trace):
+def trace_log_records(trace: Trace) -> Iterator[tuple]:
     """Line-delimited export: one row per message and per agent state
     transition (entering the failed state, deciding), as a tuple in
     `LOG_FIELDS` order. Round numbers are global (1..4q); the trace must
@@ -969,14 +1021,15 @@ def trace_log_records(trace: Trace):
     appear. Decision and failure rows have receiver None and payload_bits
     0.
     """
-    q = trace.params.phase_rounds
-    offset = {p: i * q for i, p in enumerate(PHASES)}
-    messages = trace.messages or ()
-    for phase, rnd, sender, receiver, kind, bits in messages:
-        yield (offset[phase] + rnd, kind, sender, receiver, bits)
-    for u in sorted(trace.failures):
-        yield (offset[PHASE_COHERENCE] + trace.failures[u], "failed", u,
-               None, 0)
-    for u in sorted(trace.decisions):
-        kind = "rejected" if trace.decisions[u] is None else "accepted"
-        yield (trace.stats.rounds, kind, u, None, 0)
+    rows: Iterable[tuple] = ()
+    if trace.log is not None:
+        rounds, kinds, senders, receivers, bits = trace.log
+        rows = zip(rounds.tolist(), _KIND_NAMES[kinds].tolist(),
+                   senders.tolist(), receivers.tolist(), bits.tolist())
+    first = 3 * trace.params.phase_rounds   # the round before coherence
+    failed = [(first + trace.failures[u], "failed", u, None, 0)
+              for u in sorted(trace.failures)]
+    decided = [(trace.stats.rounds,
+                "rejected" if trace.decisions[u] is None else "accepted",
+                u, None, 0) for u in sorted(trace.decisions)]
+    return chain(rows, failed, decided)

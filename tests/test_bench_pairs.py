@@ -185,6 +185,31 @@ def run_op(w, fg, k, base, out):
                                 "c": counts["parent"]["c"] + 25}
 
 
+def test_digests_count_gc_passes_per_op(tmp_path):
+    trees = {}
+    for side, young, full in (("parent", 0, 0), ("change", 3, 1)):
+        trees[side] = tmp_path / side
+        (trees[side] / "perfbench").mkdir(parents=True)
+        # run_op first runs `young` passes of generation 0, `full` of 2
+        (trees[side] / "perfbench" / "worker.py").write_text(
+            STUB_WORKER.format(pages=0) + f"""
+import gc
+_run_op = run_op
+def run_op(w, fg, k, base, out):
+    for _ in range({young}):
+        gc.collect(0)
+    for _ in range({full}):
+        gc.collect(2)
+    return _run_op(w, fg, k, base, out)
+""")
+    doc = bench_pairs.digests(trees, "w", 7, 5)
+    assert doc["equal_ops"] == 5
+    assert doc["parent"]["gc_passes_per_op"] == {"gen0": 0, "gen1": 0,
+                                                 "gen2": 0}
+    assert doc["change"]["gc_passes_per_op"] == {"gen0": 3, "gen1": 0,
+                                                 "gen2": 1}
+
+
 def test_digests_name_the_ops_that_differ(tmp_path):
     trees = {}
     for side, odd in (("parent", 0), ("change", 3)):

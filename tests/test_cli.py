@@ -11,6 +11,9 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -109,6 +112,21 @@ RUN_CASES = {
                            coalition=CoalitionConfig(
                                members=(3,), strategy="coherence_silence"),
                            master_seed=4)),
+    # members answer commitment pulls, each reply right after its pull
+    "mismatch": (["--n", "16", "--gamma", "2", "--seed", "5",
+                  "--coalition", "1,4", "--strategy", "commitment_mismatch"],
+                 SimConfig(n=16, gamma=2.0, colors=(1, 2) * 8,
+                           coalition=CoalitionConfig(
+                               members=(1, 4),
+                               strategy="commitment_mismatch"),
+                           master_seed=5)),
+    # members skip their pulls and answer none: pulls with no reply
+    "fake_faulty": (["--n", "16", "--gamma", "2", "--seed", "6",
+                     "--coalition", "2,9", "--strategy", "fake_faulty"],
+                    SimConfig(n=16, gamma=2.0, colors=(1, 2) * 8,
+                              coalition=CoalitionConfig(
+                                  members=(2, 9), strategy="fake_faulty"),
+                              master_seed=6)),
 }
 
 
@@ -565,20 +583,34 @@ def test_impossible_allocation_exits_two_with_one_line(tmp_path, capsys):
     assert err.startswith("out of memory:") and err.count("\n") == 1
 
 
+# One `main(argv)` and then ten more in a fresh process; prints the minor
+# page faults the ten took.
+REPEATED_MAINS = """
+import resource, sys
+from fairgossip.cli import main
+argv = sys.argv[1:]
+main(argv)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    main(argv)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="mallopt is glibc's")
 def test_repeated_runs_fault_no_freed_memory_back_in(tmp_path):
     # importing fairgossip fixes glibc's thresholds, so one run's freed
     # numpy temporaries serve the next run instead of going back to the
-    # system
-    import resource
+    # system. A fresh process, as the heap that earlier tests leave behind
+    # here moves the count with the code's layout.
     argv = ["fairness", "--n", "64", "--gamma", "4", "--trials", "16",
             "--out", str(tmp_path / "f.jsonl")]
-    main(argv)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(10):
-        main(argv)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 300
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", REPEATED_MAINS, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 300
 
 
 def test_no_subcommand_is_usage_error():

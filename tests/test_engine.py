@@ -157,6 +157,42 @@ def test_message_bits_match_logged_sizes():
                                            sum(m[5] for m in msgs))
 
 
+def test_log_records_are_the_messages_then_state_changes():
+    # `trace_log_records` reads the log's columns and `messages` rebuilds
+    # tuples from them; each reply follows its pull, faulty and silent
+    # targets leave pulls unanswered and coherence fails some agents
+    built_in = [name for name, cls in STRATEGIES.items()
+                if cls.__module__ == "fairgossip.adversary"]
+    failed = 0
+    for name in built_in:
+        for seed in range(8):
+            config = SimConfig(n=16, gamma=1.5, colors=HALF,
+                               faulty=frozenset({3, 7}),
+                               coalition=CoalitionConfig(members=(1, 4),
+                                                         strategy=name),
+                               master_seed=seed)
+            t = run_trial(config)
+            q = t.params.phase_rounds
+            first = {phase: i * q for i, phase in enumerate(engine.PHASES)}
+            rows = [(first[phase] + rnd, kind, sender, receiver, bits)
+                    for phase, rnd, sender, receiver, kind, bits
+                    in t.messages]
+            states = [(3 * q + rnd, "failed", u, None, 0)
+                      for u, rnd in sorted(t.failures.items())]
+            states += [(4 * q, "rejected" if d is None else "accepted", u,
+                        None, 0) for u, d in sorted(t.decisions.items())]
+            assert list(engine.trace_log_records(t)) == rows + states
+            for before, row in zip(rows, rows[1:]):
+                if row[1] in ("intention_reply", "cert_reply"):
+                    assert before[:4] == (row[0], "pull_request", row[3],
+                                          row[2])
+            failed += bool(t.failures)
+            bare = run_trial(config, record=False)
+            assert bare.messages is None and bare.votes is None
+            assert list(engine.trace_log_records(bare)) == states
+    assert failed
+
+
 def test_votes_log_reconstructs_tallies_and_tickets():
     t = run_trial(SimConfig(n=16, gamma=2.0, colors=HALF, master_seed=9,
                             faulty=frozenset({3, 7})))

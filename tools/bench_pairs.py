@@ -29,10 +29,12 @@ Optional sections, each also run in both trees:
                    S-1, one per op, through perfbench/worker.py's run_op,
                    the count of ops whose sha256 is equal in both trees
                    and the 1-based numbers of those that differ, the
-                   median and mean minor page faults per op, and the
-                   median Python and C function calls per op, counted by
-                   sys.setprofile in a second pass over the same ops (it
-                   takes about three times as long as the first);
+                   median and mean minor page faults per op, the median
+                   cyclic GC passes per op of each generation, counted
+                   through gc.callbacks, and the median Python and C
+                   function calls per op, counted by sys.setprofile in a
+                   second pass over the same ops (it takes about three
+                   times as long as the first);
   --kernel         40 alternating rounds of in-process timings of
                    protocol.draw_batch, engine.run_honest_trials,
                    analysis.iter_trials under each attack-n64 strategy,
@@ -182,28 +184,37 @@ def judge(summary: dict, metric: str, better: str) -> dict:
                     <= summary["failed"]["parent"])}
 
 
-# Runs in a tree's perfbench/ directory: per-op output digests and the
-# minor page faults each op took, then the same ops again under
-# sys.setprofile for the Python and C function calls each op made.
+# Runs in a tree's perfbench/ directory: per-op output digests, the minor
+# page faults each op took and the GC passes it ran per generation, then
+# the same ops again under sys.setprofile for the Python and C function
+# calls each op made.
 DIGEST_SCRIPT = """
-import json, resource, sys, tempfile
+import gc, json, resource, sys, tempfile
 from pathlib import Path
 import worker
 workload, seed, ops = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 fg = worker.load_package()
 w = worker.WORKLOADS[workload]
 base = worker.base_seed(workload, seed)
-results, minflt, calls = [], [], []
+results, minflt, gc_passes, calls = [], [], [], []
+passes = [0] * 3
+def note(phase, info):
+    if phase == "start":
+        passes[info["generation"]] += 1
 def count(frame, event, arg):
     if event in seen:
         seen[event] += 1
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "op.out"
+    gc.callbacks.append(note)
     for k in range(1, ops + 1):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before, passed = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
+                          list(passes))
         results.append(worker.run_op(w, fg, k, base, out))
         minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                       - before)
+        gc_passes.append([a - b for a, b in zip(passes, passed)])
+    gc.callbacks.remove(note)
     for k in range(1, ops + 1):
         seen = {"call": 0, "c_call": 0}
         sys.setprofile(count)
@@ -211,7 +222,7 @@ with tempfile.TemporaryDirectory() as tmp:
         sys.setprofile(None)
         calls.append([seen["call"], seen["c_call"]])
 print(json.dumps({"ops": [r.sha256 for r in results], "minflt": minflt,
-                  "calls": calls,
+                  "gc_passes": gc_passes, "calls": calls,
                   "failed": sum(r.error is not None for r in results),
                   "digest": worker.digest(results)}))
 """
@@ -305,6 +316,10 @@ def digests(trees: dict[str, Path], workload: str, seed: int,
                      "minflt_per_op": {
                          "median": statistics.median(got["minflt"]),
                          "mean": statistics.fmean(got["minflt"])},
+                     "gc_passes_per_op": {
+                         f"gen{g}": statistics.median(
+                             p[g] for p in got["gc_passes"])
+                         for g in range(3)},
                      "calls_per_op": {
                          kind: statistics.median(c[i] for c in got["calls"])
                          for i, kind in enumerate(("python", "c"))}}
